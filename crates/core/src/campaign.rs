@@ -288,6 +288,19 @@ pub struct TraceSpec {
     pub weights_fingerprint: Option<u64>,
 }
 
+impl TraceSpec {
+    /// The capture buffer runs under this spec record into: a ring of
+    /// `blackbox_frames` at `Blackbox`, an idle linear recorder otherwise.
+    /// Workers build one and reuse it across runs.
+    pub fn recorder(&self) -> Recorder {
+        if self.level == TraceLevel::Blackbox {
+            Recorder::ring(self.blackbox_frames)
+        } else {
+            Recorder::new(false)
+        }
+    }
+}
+
 /// Executes one fault-injected mission with the flight recorder on.
 ///
 /// The [`RunResult`] is bit-identical to what [`run_single`] produces —
@@ -307,17 +320,47 @@ pub fn run_single_traced(
     trace: &TraceSpec,
     recorder: &mut Recorder,
 ) -> (RunResult, Option<RunTrace>) {
+    run_mission(
+        template,
+        scenario_index,
+        run_index,
+        fault,
+        agent,
+        Some((trace, recorder)),
+    )
+}
+
+/// Executes one fault-injected mission.
+pub fn run_single(
+    template: &Scenario,
+    scenario_index: usize,
+    run_index: usize,
+    fault: &FaultSpec,
+    agent: &AgentSpec,
+) -> RunResult {
+    run_mission(template, scenario_index, run_index, fault, agent, None).0
+}
+
+/// The mission loop behind [`run_single`] and [`run_single_traced`].
+/// Without a trace request it logs no events and builds no trace.
+pub(crate) fn run_mission(
+    template: &Scenario,
+    scenario_index: usize,
+    run_index: usize,
+    fault: &FaultSpec,
+    agent: &AgentSpec,
+    mut trace: Option<(&TraceSpec, &mut Recorder)>,
+) -> (RunResult, Option<RunTrace>) {
+    // Derive a per-run scenario: same town/config, new mission/traffic
+    // seed. The stream index mixes in `scenario_index` so two scenarios
+    // that happen to share a template seed still get distinct traffic
+    // (mixing only `run_index` would replay identical runs across them).
     let mut scenario = template.clone();
     scenario.seed = split_seed(
         template.seed,
         ((scenario_index as u64) << 32) | (run_index as u64 + 1),
     );
     let mut world = World::from_scenario(&scenario);
-    let blackbox = trace.level == TraceLevel::Blackbox;
-    if blackbox {
-        recorder.reset();
-        world.install_recorder(std::mem::take(recorder));
-    }
     let mut driver = match agent {
         AgentSpec::Expert => AvDriver::expert(fault.clone(), scenario.seed),
         AgentSpec::Neural { weights } => {
@@ -325,7 +368,14 @@ pub fn run_single_traced(
             AvDriver::neural(net, fault.clone(), scenario.seed)
         }
     };
-    driver.enable_event_log();
+    let blackbox = matches!(&trace, Some((spec, _)) if spec.level == TraceLevel::Blackbox);
+    if let Some((_, recorder)) = &mut trace {
+        driver.enable_event_log();
+        if blackbox {
+            recorder.reset();
+            world.install_recorder(std::mem::take(recorder));
+        }
+    }
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);
@@ -333,9 +383,6 @@ pub fn run_single_traced(
             break;
         }
         world.observe_into(&mut obs);
-    }
-    if blackbox {
-        *recorder = world.take_recorder();
     }
 
     let result = RunResult {
@@ -350,6 +397,12 @@ pub fn run_single_traced(
         violations: world.monitor().events().to_vec(),
         injection_time: driver.injection_time(),
     };
+    let Some((spec, recorder)) = trace else {
+        return (result, None);
+    };
+    if blackbox {
+        *recorder = world.take_recorder();
+    }
 
     let (mut events, dropped_events) = driver.take_events();
     events.extend(result.violations.iter().map(|v| TraceEvent::Violation {
@@ -366,7 +419,7 @@ pub fn run_single_traced(
 
     let run_trace = RunTrace {
         header: TraceHeader {
-            study: trace.study.clone(),
+            study: spec.study.clone(),
             fault: result.fault.clone(),
             agent: result.agent.clone(),
             scenario_index,
@@ -374,9 +427,9 @@ pub fn run_single_traced(
             seed: scenario.seed,
             scenario: template.clone(),
             fault_spec_json: serde_json::to_string(fault).expect("fault spec serializes"),
-            weights_fingerprint: trace.weights_fingerprint,
-            level: trace.level,
-            blackbox_frames: if blackbox { trace.blackbox_frames } else { 0 },
+            weights_fingerprint: spec.weights_fingerprint,
+            level: spec.level,
+            blackbox_frames: if blackbox { spec.blackbox_frames } else { 0 },
         },
         summary: TraceSummary {
             success: result.outcome.is_success(),
@@ -397,59 +450,12 @@ pub fn run_single_traced(
     };
     // Black-box semantics: the ring is flushed to disk only when the run
     // failed; summary traces are cheap enough to keep for every run.
-    let emit = match trace.level {
+    let emit = match spec.level {
         TraceLevel::Off => false,
         TraceLevel::Summary => true,
         TraceLevel::Blackbox => run_trace.is_failure(),
     };
     (result, emit.then_some(run_trace))
-}
-
-/// Executes one fault-injected mission.
-pub fn run_single(
-    template: &Scenario,
-    scenario_index: usize,
-    run_index: usize,
-    fault: &FaultSpec,
-    agent: &AgentSpec,
-) -> RunResult {
-    // Derive a per-run scenario: same town/config, new mission/traffic
-    // seed. The stream index mixes in `scenario_index` so two scenarios
-    // that happen to share a template seed still get distinct traffic
-    // (mixing only `run_index` would replay identical runs across them).
-    let mut scenario = template.clone();
-    scenario.seed = split_seed(
-        template.seed,
-        ((scenario_index as u64) << 32) | (run_index as u64 + 1),
-    );
-    let mut world = World::from_scenario(&scenario);
-    let mut driver = match agent {
-        AgentSpec::Expert => AvDriver::expert(fault.clone(), scenario.seed),
-        AgentSpec::Neural { weights } => {
-            let net = IlNetwork::from_weights(weights).expect("valid campaign weights");
-            AvDriver::neural(net, fault.clone(), scenario.seed)
-        }
-    };
-    let mut obs = world.observe();
-    loop {
-        let control = driver.drive_frame(&obs, &world);
-        if world.step(control).is_terminal() {
-            break;
-        }
-        world.observe_into(&mut obs);
-    }
-    RunResult {
-        fault: fault.label(),
-        agent: driver.agent_name().to_string(),
-        scenario_index,
-        run_index,
-        seed: scenario.seed,
-        outcome: world.mission().into(),
-        duration: world.time(),
-        distance_km: world.odometer() / 1000.0,
-        violations: world.monitor().events().to_vec(),
-        injection_time: driver.injection_time(),
-    }
 }
 
 #[cfg(test)]

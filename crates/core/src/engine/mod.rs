@@ -1,21 +1,20 @@
-//! Deterministic work-stealing execution engine for campaign studies.
+//! Deterministic execution engine for campaign studies.
 //!
 //! The paper's evaluation is campaign-*batches*: every figure sweeps fault
 //! models × scenarios × repetitions, and follow-up work (Jha et al., DSN
 //! 2019) motivates making such sweeps cheap enough to run thousands of
-//! experiments. A [`Campaign`](crate::campaign::Campaign) already shards
-//! its own runs across threads, but running campaigns one after another
-//! leaves cores idle at every campaign boundary (the straggler of each
-//! campaign serializes the whole study).
+//! experiments. Running campaigns one after another leaves cores idle at
+//! every campaign boundary (the straggler of each campaign serializes the
+//! whole study).
 //!
 //! This module flattens an entire [`WorkPlan`] — every (study × campaign ×
-//! scenario × repetition) tuple — into one shared work queue. Idle workers
-//! steal the next item from the queue regardless of which campaign it
-//! belongs to, so there are no barriers between campaigns and no idle
-//! tail until the very last item. Each item is tagged with its (study,
-//! campaign, run) indices and its result is written into a preassigned
-//! slot, so reassembled results are **bit-identical for any worker
-//! count** — scheduling affects only wall-clock, never output.
+//! scenario × repetition) tuple — into one work queue. Idle workers claim
+//! the next item regardless of which campaign it belongs to, so there are
+//! no barriers between campaigns and no idle tail until the very last
+//! item. Each item is tagged with its (study, campaign, run) indices and
+//! its result is written into a preassigned slot, so reassembled results
+//! are **bit-identical for any worker count** — scheduling affects only
+//! wall-clock, never output.
 //!
 //! Progress is streamed through a pluggable [`ProgressSink`]: runs
 //! completed, kilometers driven, violations so far, per-campaign
@@ -23,22 +22,21 @@
 //! observable instead of silent. Event *ordering* follows scheduling and
 //! is therefore not deterministic; only the returned results are.
 //!
-//! [`pool`] lifts the same scheme into a *persistent* service shape: a
-//! [`MultiplexPool`](pool::MultiplexPool) keeps one long-lived worker
-//! pool and multiplexes many independently submitted plans onto it with
-//! fair round-robin scheduling and per-plan cancellation, while keeping
-//! every plan's results byte-identical to a solo [`Engine::execute`].
+//! There is one executor, in [`pool`]: [`Engine`] is a thin front that
+//! drains a plan (or a batch of [`EvalJob`]s) on scoped threads, and
+//! [`MultiplexPool`](pool::MultiplexPool) runs the same claim → execute →
+//! publish path on long-lived workers, multiplexing many independently
+//! submitted plans with fair round-robin claims and per-plan
+//! cancellation. Every plan's results are byte-identical to a solo
+//! [`Engine::execute`].
 
-use crate::campaign::{
-    run_single, run_single_traced, AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec,
-};
-use avfi_sim::recorder::Recorder;
+use crate::campaign::{AgentSpec, CampaignConfig, CampaignResult, RunResult, TraceSpec};
 use avfi_sim::FRAME_DT;
 use avfi_trace::TraceLevel;
+use pool::{Borrowed, PlanRun, Work};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 pub mod pool;
 
@@ -329,7 +327,9 @@ pub trait RunSink: Sync {
 }
 
 /// A flattened work item: one (study, campaign, scenario, run) tuple.
-#[derive(Debug, Clone, Copy)]
+/// `(scenario, run)` are the seed coordinates: the item's position for
+/// plan items, the job's own for ad-hoc [`EvalJob`]s.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WorkItem {
     /// Study index within the plan.
     pub(crate) study: usize,
@@ -337,9 +337,9 @@ pub(crate) struct WorkItem {
     pub(crate) campaign: usize,
     /// Campaign index within the flattened campaign list.
     pub(crate) flat_campaign: usize,
-    /// Scenario index within the campaign.
+    /// Scenario index mixed into the seed derivation.
     pub(crate) scenario: usize,
-    /// Run index within the scenario.
+    /// Run index mixed into the seed derivation.
     pub(crate) run: usize,
 }
 
@@ -375,7 +375,7 @@ pub(crate) fn flatten_items(plan: &WorkPlan) -> Vec<WorkItem> {
 pub(crate) fn plan_trace_specs(
     plan: &WorkPlan,
     level: TraceLevel,
-    blackbox_frames: usize,
+    blackbox_seconds: f64,
 ) -> Vec<TraceSpec> {
     plan.studies
         .iter()
@@ -383,7 +383,7 @@ pub(crate) fn plan_trace_specs(
             study.campaigns.iter().map(|cfg| TraceSpec {
                 level,
                 study: study.name.clone(),
-                blackbox_frames,
+                blackbox_frames: blackbox_frames(blackbox_seconds),
                 weights_fingerprint: match &cfg.agent {
                     AgentSpec::Neural { weights } => Some(avfi_trace::fingerprint(weights)),
                     AgentSpec::Expert => None,
@@ -391,6 +391,11 @@ pub(crate) fn plan_trace_specs(
             })
         })
         .collect()
+}
+
+/// A black-box window of `seconds` in frames (at least 1).
+fn blackbox_frames(seconds: f64) -> usize {
+    ((seconds / FRAME_DT).ceil() as usize).max(1)
 }
 
 /// Deterministic reassembly: `runs` was produced in flat-plan order, so
@@ -444,7 +449,7 @@ impl TraceConfig {
 
     /// The black-box window in frames (at least 1).
     pub fn blackbox_frames(&self) -> usize {
-        ((self.blackbox_seconds / FRAME_DT).ceil() as usize).max(1)
+        blackbox_frames(self.blackbox_seconds)
     }
 }
 
@@ -515,7 +520,7 @@ impl Engine {
 
     /// Evaluates ad-hoc jobs across the worker pool, returning
     /// `(result, trace)` pairs **in job order** regardless of worker
-    /// count — the same cursor/preassigned-slot scheme as
+    /// count — the same claim/preassigned-slot path as
     /// [`Engine::execute_with`], so scheduling affects only wall-clock.
     ///
     /// Every job runs with the flight recorder on at `spec.level`
@@ -528,50 +533,14 @@ impl Engine {
         agent: &AgentSpec,
         spec: &TraceSpec,
     ) -> Vec<(RunResult, Option<avfi_trace::RunTrace>)> {
-        let total = jobs.len();
-        if total == 0 {
-            return Vec::new();
+        let work = Work::Jobs(jobs, agent);
+        let specs = vec![spec.clone()];
+        let (runs, traces) = self.drain(work, specs, None, Vec::new(), (&NullSink, None));
+        let mut out: Vec<_> = runs.into_iter().map(|result| (result, None)).collect();
+        for (i, trace) in traces {
+            out[i].1 = Some(trace);
         }
-        let workers = self.effective_workers(total);
-        type Slot = parking_lot::Mutex<Option<(RunResult, Option<avfi_trace::RunTrace>)>>;
-        let slots: Vec<Slot> = (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        {
-            let (slots, next) = (&slots, &next);
-            crossbeam::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(move |_| {
-                        let mut recorder = if spec.level == TraceLevel::Blackbox {
-                            Recorder::ring(spec.blackbox_frames.max(1))
-                        } else {
-                            Recorder::new(false)
-                        };
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            let job = &jobs[i];
-                            let out = run_single_traced(
-                                &job.scenario,
-                                job.scenario_index,
-                                job.run_index,
-                                &job.fault,
-                                agent,
-                                spec,
-                                &mut recorder,
-                            );
-                            *slots[i].lock() = Some(out);
-                        }
-                    });
-                }
-            })
-            .expect("evaluation worker panicked");
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all jobs completed"))
-            .collect()
+        out
     }
 
     /// Executes every run of `plan` across the worker pool, streaming
@@ -604,161 +573,31 @@ impl Engine {
         sink: &dyn ProgressSink,
         spool: Option<&dyn RunSink>,
     ) -> Vec<StudyResult> {
-        let campaigns: Vec<&CampaignConfig> =
-            plan.studies.iter().flat_map(|s| &s.campaigns).collect();
-        let items = flatten_items(plan);
-        let total = items.len();
-
-        let slots: Vec<parking_lot::Mutex<Option<RunResult>>> =
-            (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let mut campaign_prefilled = vec![0usize; campaigns.len()];
-        let mut prefilled_count = 0usize;
-        for (idx, result) in prefilled {
-            if idx >= total {
-                continue;
-            }
-            let mut slot = slots[idx].lock();
-            if slot.is_none() {
-                *slot = Some(result);
-                campaign_prefilled[items[idx].flat_campaign] += 1;
-                prefilled_count += 1;
-            }
-        }
-        // The work queue is only the unfilled indices, still in flat-plan
-        // order; scheduling over it cannot affect where results land.
-        let pending: Vec<usize> = (0..total).filter(|&i| slots[i].lock().is_none()).collect();
-
-        let workers = self.effective_workers(pending.len());
-        sink.event(&ProgressEvent::Started {
-            total_runs: total,
-            campaigns: campaigns.len(),
-            workers,
+        let trace = self.trace.as_ref().filter(|t| t.level != TraceLevel::Off);
+        let specs = trace.map_or_else(Vec::new, |t| {
+            plan_trace_specs(plan, t.level, t.blackbox_seconds)
         });
+        let work = Work::Plan(Cow::Borrowed(plan));
+        let dir = trace.map(|t| t.dir.clone());
+        assemble_results(
+            plan,
+            self.drain(work, specs, dir, prefilled, (sink, spool)).0,
+        )
+    }
 
-        let trace_cfg = self.trace.as_ref().filter(|t| t.level != TraceLevel::Off);
-        let trace_specs: Option<Vec<TraceSpec>> =
-            trace_cfg.map(|tc| plan_trace_specs(plan, tc.level, tc.blackbox_frames()));
-        let trace_specs = trace_specs.as_deref();
-
-        let remaining: Vec<AtomicUsize> = campaigns
-            .iter()
-            .zip(&campaign_prefilled)
-            .map(|(c, &done)| AtomicUsize::new(c.total_runs() - done))
-            .collect();
-        let busy: Vec<parking_lot::Mutex<f64>> =
-            (0..workers).map(|_| parking_lot::Mutex::new(0.0)).collect();
-        let next = AtomicUsize::new(0);
-        let completed = AtomicUsize::new(prefilled_count);
-        let started = Instant::now();
-
-        if !pending.is_empty() {
-            // Shared references for the worker closures.
-            let (items, pending, campaigns, slots, remaining, busy, next, completed) = (
-                &items, &pending, &campaigns, &slots, &remaining, &busy, &next, &completed,
-            );
-            crossbeam::scope(|scope| {
-                for (worker, busy_slot) in busy.iter().enumerate() {
-                    scope.spawn(move |_| {
-                        // One reusable capture buffer per worker: the ring
-                        // is allocated once and reset between runs.
-                        let mut recorder = match trace_cfg {
-                            Some(tc) if tc.level == TraceLevel::Blackbox => {
-                                Recorder::ring(tc.blackbox_frames())
-                            }
-                            _ => Recorder::new(false),
-                        };
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= pending.len() {
-                                break;
-                            }
-                            let i = pending[k];
-                            let item = items[i];
-                            let cfg = campaigns[item.flat_campaign];
-                            let t0 = Instant::now();
-                            let (result, trace) = match (trace_cfg, trace_specs) {
-                                (Some(tc), Some(specs)) => {
-                                    let (result, trace) = run_single_traced(
-                                        &cfg.scenarios[item.scenario],
-                                        item.scenario,
-                                        item.run,
-                                        &cfg.fault,
-                                        &cfg.agent,
-                                        &specs[item.flat_campaign],
-                                        &mut recorder,
-                                    );
-                                    if let Some(trace) = &trace {
-                                        avfi_trace::write_trace_file(&tc.dir, i, trace)
-                                            .unwrap_or_else(|e| {
-                                                panic!("cannot write trace for run {i}: {e}")
-                                            });
-                                    }
-                                    (result, trace)
-                                }
-                                _ => (
-                                    run_single(
-                                        &cfg.scenarios[item.scenario],
-                                        item.scenario,
-                                        item.run,
-                                        &cfg.fault,
-                                        &cfg.agent,
-                                    ),
-                                    None,
-                                ),
-                            };
-                            // Journal before publishing: any run the
-                            // engine counts as done has a durable record.
-                            if let Some(spool) = spool {
-                                spool.run_completed(i, &result, trace.as_ref());
-                            }
-                            *busy_slot.lock() += t0.elapsed().as_secs_f64();
-                            let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
-                            sink.event(&ProgressEvent::RunCompleted {
-                                study: item.study,
-                                campaign: item.campaign,
-                                scenario: item.scenario,
-                                run: item.run,
-                                worker,
-                                completed: done,
-                                total,
-                                km: result.distance_km,
-                                violations: result.violations.len(),
-                                success: result.outcome.is_success(),
-                            });
-                            *slots[i].lock() = Some(result);
-                            if remaining[item.flat_campaign].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                sink.event(&ProgressEvent::CampaignCompleted {
-                                    study: item.study,
-                                    campaign: item.campaign,
-                                    label: cfg.fault.label(),
-                                });
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("engine worker panicked");
-        }
-
-        let elapsed = started.elapsed().as_secs_f64();
-        let runs: Vec<RunResult> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("all runs completed"))
-            .collect();
-        sink.event(&ProgressEvent::Finished {
-            elapsed,
-            utilization: busy
-                .iter()
-                .map(|b| (*b.lock() / elapsed.max(1e-12)).min(1.0))
-                .collect(),
-            total_km: runs.iter().map(|r| r.distance_km).sum(),
-            total_violations: runs.iter().map(|r| r.violations.len()).sum(),
-        });
-        if let Some(spool) = spool {
-            spool.plan_terminal("completed");
-        }
-
-        assemble_results(plan, runs)
+    /// Drains the work on scoped worker threads and returns its results
+    /// and kept traces.
+    fn drain(
+        &self,
+        work: Work<'_>,
+        specs: Vec<TraceSpec>,
+        trace_dir: Option<PathBuf>,
+        prefilled: Vec<(usize, RunResult)>,
+        sinks: Borrowed<'_>,
+    ) -> (Vec<RunResult>, Vec<(usize, avfi_trace::RunTrace)>) {
+        let run = PlanRun::new(work, specs, trace_dir, prefilled, sinks);
+        let workers = self.effective_workers(run.pending.len());
+        run.drain_scoped(workers)
     }
 }
 
@@ -912,6 +751,22 @@ mod tests {
         assert_eq!(header.scenario_index, 2);
         assert_eq!(header.run_index, 3);
         assert_eq!(header.seed, header.derived_seed());
+    }
+
+    /// A run that panics (unparseable neural weights) panics the caller
+    /// instead of hanging the engine.
+    #[test]
+    #[should_panic]
+    fn panicking_run_panics_the_caller() {
+        let bad = CampaignConfig::builder(vec![quick_scenario(90)])
+            .runs_per_scenario(2)
+            .agent(AgentSpec::Neural {
+                weights: std::sync::Arc::new(vec![1, 2, 3]),
+            })
+            .build();
+        Engine::new()
+            .workers(2)
+            .execute(&WorkPlan::single("bad", bad));
     }
 
     #[test]

@@ -1,53 +1,395 @@
-//! Persistent multiplexing worker pool: many plans, one pool.
+//! The executor: one claim → execute → publish path for every campaign.
 //!
-//! [`Engine::execute`](super::Engine::execute) is one-shot — it spins
-//! workers up, drains one plan, and tears them down. A fault-injection
-//! *service* instead keeps one long-lived pool and lets many clients
-//! submit [`WorkPlan`]s concurrently. This module provides that shape:
+//! A `PlanRun` is one plan in flight: its flattened work items, the
+//! result slots they land in, the claim cursor over the pending ones, and
+//! the sinks it reports into. Every execution mode drives the same four
+//! steps on it — `PlanRun::new` (prefilled results → slots → pending
+//! indices), `PlanRun::claim`, `PlanRun::execute` (mission → [`RunSink`]
+//! → trace → result slot → progress events) and `PlanRun::finalize`. The modes differ only in thread lifetime and
+//! in how claims are chosen:
 //!
-//! * [`MultiplexPool`] owns the worker threads for the life of the
-//!   process. [`MultiplexPool::submit`] enqueues a plan and returns a
-//!   [`PlanTicket`] immediately.
-//! * **Fair round-robin scheduling**: active plans sit in a rotation;
-//!   each claim grants one run from the front plan and sends it to the
-//!   back, so an 8-run plan submitted next to an 8 000-run plan makes
-//!   progress every cycle instead of queueing behind it.
-//! * **Per-plan cancellation**: [`PlanTicket::cancel`] drops a plan's
-//!   unclaimed runs; the cooperative check in the worker drain loop skips
-//!   claimed-but-unstarted runs, and in-flight runs finish. Lifecycle
-//!   transitions go through the
-//!   [`PlanLifecycle`](avfi_net::proto::PlanLifecycle) state machine.
-//! * **Plan-tagged events**: every [`ProgressEvent`] lands in the plan's
-//!   own ordered log as a [`PlanEvent`] `{plan, seq, event}`, so watchers
-//!   replay/follow a single plan without seeing its neighbors. The
-//!   `Finished` event's `utilization` is empty in service mode — workers
-//!   are shared, so a per-plan per-worker busy fraction has no meaning.
+//! * [`Engine`](super::Engine) borrows its caller's sinks and drains one
+//!   plan on scoped threads that exit when nothing is left to claim.
+//! * [`MultiplexPool`] owns long-lived workers that wait on a condvar
+//!   between claims and multiplex every submitted plan. Each claim grants
+//!   one run from the front plan of a rotation and sends that plan to the
+//!   back (**fair round-robin**), so an 8-run plan submitted next to an
+//!   8 000-run plan makes progress every cycle instead of queueing behind
+//!   it. [`MultiplexPool::submit`] returns a [`PlanTicket`] at once.
+//!
+//! In the pool, **per-plan cancellation** ([`PlanTicket::cancel`]) drops
+//! a plan's unclaimed runs, claimed-but-unstarted runs are skipped and
+//! in-flight runs finish; lifecycle transitions go through the
+//! [`PlanLifecycle`](avfi_net::proto::PlanLifecycle) state machine. Every
+//! [`ProgressEvent`] lands in the plan's own ordered log as a
+//! [`PlanEvent`] `{plan, seq, event}`, so watchers follow a single plan
+//! without seeing its neighbors. The `Finished` event's `utilization` is
+//! empty in service mode — workers are shared, so a per-plan per-worker
+//! busy fraction has no meaning. The worker that retires a plan's last
+//! claim finalizes it, so `Finished` follows every run's events.
 //!
 //! **Determinism survives multiplexing.** A run's output depends only on
-//! its (campaign template, scenario index, run index) coordinates — the
-//! same [`run_single`] call the one-shot engine makes — and results land
-//! in slots preassigned by flat plan index, reassembled by the same
+//! its (campaign template, scenario index, run index) coordinates and
+//! lands in a slot preassigned by flat plan index, reassembled by
 //! [`assemble_results`](super::assemble_results). Scheduling (worker
 //! count, rotation order, neighbor plans) affects only wall-clock, so a
 //! plan's results are **byte-identical** to a solo
 //! [`Engine::execute`](super::Engine::execute) of the same plan.
 
 use super::{
-    assemble_results, flatten_items, plan_trace_specs, ProgressEvent, RunSink, StudyResult,
-    WorkItem, WorkPlan,
+    assemble_results, flatten_items, plan_trace_specs, EvalJob, ProgressEvent, ProgressSink,
+    RunSink, StudyResult, WorkItem, WorkPlan,
 };
-use crate::campaign::{run_single, run_single_traced, CampaignConfig, RunResult, TraceSpec};
+use crate::campaign::{run_mission, AgentSpec, RunResult, TraceSpec};
+use crate::fault::FaultSpec;
 use avfi_net::proto::{PlanId, PlanLifecycle, PlanPhase};
 use avfi_sim::recorder::Recorder;
-use avfi_sim::FRAME_DT;
+use avfi_sim::scenario::Scenario;
 use avfi_trace::{RunTrace, TraceLevel};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// What a [`PlanRun`] executes.
+pub(crate) enum Work<'a> {
+    /// Every run of a plan: borrowed by the engine, owned by the pool.
+    Plan(Cow<'a, WorkPlan>),
+    /// Ad-hoc jobs sharing one agent, outside any campaign.
+    Jobs(&'a [EvalJob], &'a AgentSpec),
+}
+
+impl Work<'_> {
+    /// The scenario template, fault plan and agent of flat item `i`.
+    fn mission(&self, i: usize, item: &WorkItem) -> (&Scenario, &FaultSpec, &AgentSpec) {
+        match self {
+            Work::Plan(plan) => {
+                let cfg = &plan.studies()[item.study].campaigns[item.campaign];
+                (&cfg.scenarios[item.scenario], &cfg.fault, &cfg.agent)
+            }
+            Work::Jobs(jobs, agent) => (&jobs[i].scenario, &jobs[i].fault, agent),
+        }
+    }
+}
+
+/// Where a [`PlanRun`] reports. The engine borrows its caller's sinks;
+/// the pool owns a per-plan event log and journal ([`PlanLog`]).
+pub(crate) trait PlanSinks: Sync {
+    /// Receives the plan's progress events.
+    fn progress(&self) -> &dyn ProgressSink;
+    /// Receives each finished run before it is published, and the
+    /// terminal phase.
+    fn spool(&self) -> Option<&dyn RunSink>;
+    /// Moves the plan into terminal `phase`; returns the phase that took
+    /// effect.
+    fn terminal(&self, phase: PlanPhase) -> PlanPhase {
+        phase
+    }
+    /// Wakes waiters once the spool has seen the terminal phase.
+    fn wake(&self) {}
+}
+
+/// The engine's sinks, borrowed from its caller.
+pub(crate) type Borrowed<'a> = (&'a dyn ProgressSink, Option<&'a dyn RunSink>);
+
+impl PlanSinks for Borrowed<'_> {
+    fn progress(&self) -> &dyn ProgressSink {
+        self.0
+    }
+
+    fn spool(&self) -> Option<&dyn RunSink> {
+        self.1
+    }
+}
+
+/// One plan in flight: the state every execution mode drains.
+pub(crate) struct PlanRun<'a, S> {
+    work: Work<'a>,
+    items: Vec<WorkItem>,
+    /// Trace specs by flat campaign; empty when tracing is off.
+    specs: Vec<TraceSpec>,
+    /// Where traces are written; `None` keeps them in `traces`.
+    trace_dir: Option<PathBuf>,
+    /// Runs left per flat campaign, for `CampaignCompleted` events.
+    remaining: Vec<AtomicUsize>,
+    /// Flat indices still to execute, in flat-plan order.
+    pub(crate) pending: Vec<usize>,
+    /// Claim cursor into `pending`.
+    next: AtomicUsize,
+    /// Claims finished, executed or skipped.
+    retired: AtomicUsize,
+    /// Runs executed, prefilled ones included.
+    executed: AtomicUsize,
+    cancelled: AtomicBool,
+    finalized: AtomicBool,
+    /// Busy seconds per worker for `Finished`; empty leaves it empty.
+    busy: Vec<Mutex<f64>>,
+    started_at: Instant,
+    /// Result slots preassigned by flat plan index.
+    slots: Vec<Mutex<Option<RunResult>>>,
+    /// Kept traces by flat plan index (sorted at finalize).
+    traces: Mutex<Vec<(usize, RunTrace)>>,
+    sinks: S,
+}
+
+impl<S> fmt::Debug for PlanRun<'_, S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlanRun")
+            .field("total", &self.items.len())
+            .field("pending", &self.pending.len())
+            .field("executed", &self.executed)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, S: PlanSinks> PlanRun<'a, S> {
+    /// Flattens `work` and slots in `prefilled` results: the first entry
+    /// for an index wins and out-of-range indices are dropped (resume
+    /// re-executes anything not slotted; determinism keeps the output
+    /// identical either way). Only the unfilled indices are pending.
+    pub(crate) fn new(
+        work: Work<'a>,
+        specs: Vec<TraceSpec>,
+        trace_dir: Option<PathBuf>,
+        prefilled: Vec<(usize, RunResult)>,
+        sinks: S,
+    ) -> Self {
+        let (items, mut remaining): (Vec<WorkItem>, Vec<usize>) = match &work {
+            Work::Plan(plan) => (
+                flatten_items(plan),
+                plan.studies()
+                    .iter()
+                    .flat_map(|s| &s.campaigns)
+                    .map(|c| c.total_runs())
+                    .collect(),
+            ),
+            Work::Jobs(jobs, _) => (
+                jobs.iter()
+                    .map(|job| WorkItem {
+                        scenario: job.scenario_index,
+                        run: job.run_index,
+                        ..WorkItem::default()
+                    })
+                    .collect(),
+                Vec::new(),
+            ),
+        };
+        let mut slots: Vec<Mutex<Option<RunResult>>> =
+            items.iter().map(|_| Mutex::new(None)).collect();
+        let mut executed = 0;
+        for (idx, result) in prefilled {
+            if let Some(slot @ None) = slots.get_mut(idx).map(Mutex::get_mut) {
+                *slot = Some(result);
+                remaining[items[idx].flat_campaign] -= 1;
+                executed += 1;
+            }
+        }
+        let pending = (0..items.len())
+            .filter(|&i| slots[i].get_mut().is_none())
+            .collect();
+        PlanRun {
+            work,
+            items,
+            specs,
+            trace_dir,
+            remaining: remaining.into_iter().map(AtomicUsize::new).collect(),
+            pending,
+            next: AtomicUsize::new(0),
+            retired: AtomicUsize::new(0),
+            executed: AtomicUsize::new(executed),
+            cancelled: AtomicBool::new(false),
+            finalized: AtomicBool::new(false),
+            busy: Vec::new(),
+            started_at: Instant::now(),
+            slots,
+            traces: Mutex::new(Vec::new()),
+            sinks,
+        }
+    }
+
+    /// Emits `Started`, then finalizes at once when nothing will run: a
+    /// `terminal` phase recovered from a journal, or no pending runs.
+    fn start(&self, workers: usize, terminal: Option<PlanPhase>) {
+        self.sinks.progress().event(&ProgressEvent::Started {
+            total_runs: self.items.len(),
+            campaigns: self.remaining.len(),
+            workers,
+        });
+        if let Some(phase) = terminal.or(self.pending.is_empty().then_some(PlanPhase::Completed)) {
+            self.finalize(phase);
+        }
+    }
+
+    /// Claims the next pending flat index, if any is left.
+    pub(crate) fn claim(&self) -> Option<usize> {
+        let k = self.next.fetch_add(1, Ordering::SeqCst);
+        self.pending.get(k).copied()
+    }
+
+    /// Pending runs claimed so far.
+    fn claimed(&self) -> usize {
+        self.next.load(Ordering::SeqCst).min(self.pending.len())
+    }
+
+    /// Executes claimed item `i` on `worker`, whose reusable capture
+    /// buffer is `recorder`, publishes it, and retires the claim. A run
+    /// claimed before its plan was cancelled is skipped, not executed.
+    pub(crate) fn execute(&self, i: usize, worker: usize, recorder: &mut Recorder) {
+        if !self.cancelled.load(Ordering::SeqCst) {
+            let t0 = Instant::now();
+            let item = self.items[i];
+            let (template, fault, agent) = self.work.mission(i, &item);
+            let spec = self.specs.get(item.flat_campaign).map(|spec| {
+                // Pool plans differ in ring length; rebuild only on a change.
+                if spec.level == TraceLevel::Blackbox
+                    && recorder.capacity() != Some(spec.blackbox_frames.max(1))
+                {
+                    *recorder = spec.recorder();
+                }
+                (spec, &mut *recorder)
+            });
+            let (result, trace) =
+                run_mission(template, item.scenario, item.run, fault, agent, spec);
+            // Journal before the in-memory publish: a crash after the spool
+            // write simply replays an already-slotted run on resume, which
+            // determinism makes harmless; a crash before it re-executes the
+            // run to the identical result.
+            if let Some(spool) = self.sinks.spool() {
+                spool.run_completed(i, &result, trace.as_ref());
+            }
+            if let Some(trace) = trace {
+                match &self.trace_dir {
+                    Some(dir) => {
+                        avfi_trace::write_trace_file(dir, i, &trace)
+                            .unwrap_or_else(|e| panic!("cannot write trace for run {i}: {e}"));
+                    }
+                    None => self.traces.lock().push((i, trace)),
+                }
+            }
+            let (km, violations, success) = (
+                result.distance_km,
+                result.violations.len(),
+                result.outcome.is_success(),
+            );
+            // Slot before counter: a reader seeing `executed == total` must
+            // also see every slot filled.
+            *self.slots[i].lock() = Some(result);
+            if let Some(busy) = self.busy.get(worker) {
+                *busy.lock() += t0.elapsed().as_secs_f64();
+            }
+            let completed = self.executed.fetch_add(1, Ordering::SeqCst) + 1;
+            let progress = self.sinks.progress();
+            progress.event(&ProgressEvent::RunCompleted {
+                study: item.study,
+                campaign: item.campaign,
+                scenario: item.scenario,
+                run: item.run,
+                worker,
+                completed,
+                total: self.items.len(),
+                km,
+                violations,
+                success,
+            });
+            let left = self.remaining.get(item.flat_campaign);
+            if left.is_some_and(|left| left.fetch_sub(1, Ordering::AcqRel) == 1) {
+                progress.event(&ProgressEvent::CampaignCompleted {
+                    study: item.study,
+                    campaign: item.campaign,
+                    label: fault.label(),
+                });
+            }
+        }
+        // Every claim's events precede its retirement, so the worker that
+        // retires the last one finalizes after all of them.
+        let retired = self.retired.fetch_add(1, Ordering::SeqCst) + 1;
+        if retired == self.pending.len() {
+            let all = self.executed.load(Ordering::SeqCst) == self.items.len();
+            self.finalize(if all {
+                PlanPhase::Completed
+            } else {
+                PlanPhase::Cancelled
+            });
+        } else if self.cancelled.load(Ordering::SeqCst) && retired == self.claimed() {
+            self.finalize(PlanPhase::Cancelled);
+        }
+    }
+
+    /// Drains the plan on `workers` scoped threads that exit when nothing
+    /// is left to claim, one busy fraction each in `Finished`, and returns
+    /// the results in flat-plan order and the kept traces. A panicking run
+    /// panics the caller once every thread has joined.
+    pub(crate) fn drain_scoped(
+        mut self,
+        workers: usize,
+    ) -> (Vec<RunResult>, Vec<(usize, RunTrace)>) {
+        self.busy = (0..workers).map(|_| Mutex::new(0.0)).collect();
+        self.start(workers, None);
+        let run = &self;
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                scope.spawn(move || {
+                    let mut recorder = Recorder::default();
+                    while let Some(i) = run.claim() {
+                        run.execute(i, worker, &mut recorder);
+                    }
+                });
+            }
+        });
+        let runs = self.slots.into_iter();
+        let runs = runs.map(|slot| slot.into_inner().expect("all runs completed"));
+        (runs.collect(), self.traces.into_inner())
+    }
+
+    /// Cancels the plan: unstarted claims are skipped from now on, and a
+    /// plan with nothing in flight finalizes here.
+    fn cancel(&self) {
+        self.cancelled.store(true, Ordering::SeqCst);
+        if self.retired.load(Ordering::SeqCst) == self.claimed()
+            && self.executed.load(Ordering::SeqCst) < self.items.len()
+        {
+            self.finalize(PlanPhase::Cancelled);
+        }
+    }
+
+    /// Moves the plan into a terminal phase exactly once: for `Completed`
+    /// emits `Finished` and sorts kept traces, then records the phase,
+    /// tells the spool, and wakes waiters.
+    pub(crate) fn finalize(&self, phase: PlanPhase) {
+        if self.finalized.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if phase == PlanPhase::Completed {
+            let elapsed = self.started_at.elapsed().as_secs_f64();
+            let slots: Vec<_> = self.slots.iter().map(|slot| slot.lock()).collect();
+            let runs = slots
+                .iter()
+                .map(|r| r.as_ref().expect("all runs completed"));
+            self.sinks.progress().event(&ProgressEvent::Finished {
+                elapsed,
+                utilization: self
+                    .busy
+                    .iter()
+                    .map(|b| (*b.lock() / elapsed.max(1e-12)).min(1.0))
+                    .collect(),
+                total_km: runs.clone().map(|r| r.distance_km).sum(),
+                total_violations: runs.map(|r| r.violations.len()).sum(),
+            });
+            self.traces.lock().sort_by_key(|(idx, _)| *idx);
+        }
+        let actual = self.sinks.terminal(phase);
+        if let Some(spool) = self.sinks.spool() {
+            spool.plan_terminal(actual.name());
+        }
+        self.sinks.wake();
+    }
+}
 
 /// One plan-tagged progress event: the `seq`-th event of plan `plan`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -59,6 +401,87 @@ pub struct PlanEvent {
     /// The engine progress event.
     pub event: ProgressEvent,
 }
+
+/// The pool's sinks for one plan: its event log, which shares a lock with
+/// the lifecycle so watchers see both consistently, and its journal.
+struct PlanLog {
+    id: PlanId,
+    state: std::sync::Mutex<LogState>,
+    changed: Condvar,
+    spool: Option<Arc<dyn RunSink + Send + Sync>>,
+    /// Set once, when the plan reaches a terminal phase — the clock
+    /// retention sweeps measure against.
+    finished_at: Mutex<Option<Instant>>,
+    /// Result/trace payloads dropped by retention eviction (lifecycle
+    /// status stays queryable).
+    evicted: AtomicBool,
+}
+
+struct LogState {
+    lifecycle: PlanLifecycle,
+    events: Vec<PlanEvent>,
+}
+
+impl PlanLog {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LogState> {
+        self.state.lock().expect("plan state lock")
+    }
+
+    /// Blocks until `done` holds for the log state, then returns the
+    /// events from `from` on and the phase.
+    fn wait(&self, from: usize, done: impl Fn(&LogState) -> bool) -> (Vec<PlanEvent>, PlanPhase) {
+        let mut st = self.lock();
+        while !done(&st) {
+            st = self.changed.wait(st).expect("plan state lock");
+        }
+        let events = st.events.get(from..).unwrap_or_default().to_vec();
+        (events, st.lifecycle.phase())
+    }
+}
+
+impl ProgressSink for PlanLog {
+    fn event(&self, event: &ProgressEvent) {
+        let mut st = self.lock();
+        let seq = st.events.len();
+        st.events.push(PlanEvent {
+            plan: self.id,
+            seq,
+            event: event.clone(),
+        });
+        drop(st);
+        self.changed.notify_all();
+    }
+}
+
+impl PlanSinks for PlanLog {
+    fn progress(&self) -> &dyn ProgressSink {
+        self
+    }
+
+    fn spool(&self) -> Option<&dyn RunSink> {
+        Some(self.spool.as_deref()?)
+    }
+
+    fn terminal(&self, phase: PlanPhase) -> PlanPhase {
+        let mut st = self.lock();
+        // Plans finalized without a claim (recovered, trivially complete)
+        // pass through Running; cancel-before-start jumps Queued →
+        // Cancelled.
+        if phase != PlanPhase::Cancelled {
+            st.lifecycle.advance_if_legal(PlanPhase::Running);
+        }
+        let actual = st.lifecycle.advance_if_legal(phase);
+        drop(st);
+        *self.finished_at.lock() = Some(Instant::now());
+        actual
+    }
+
+    fn wake(&self) {
+        self.changed.notify_all();
+    }
+}
+
+type PoolPlan = PlanRun<'static, PlanLog>;
 
 /// The persistent pool: long-lived workers multiplexing every submitted
 /// plan. Dropping the pool without calling [`MultiplexPool::shutdown`]
@@ -73,52 +496,23 @@ pub struct MultiplexPool {
 #[derive(Debug)]
 struct PoolShared {
     workers: usize,
-    sched: Mutex<Sched>,
+    sched: std::sync::Mutex<Sched>,
     work_ready: Condvar,
     next_plan_id: AtomicU64,
-    /// Claim journal: (plan, flat index) in global claim order (claims
-    /// are serialized by the scheduler lock, so this is a total order).
-    /// Scheduling observability for fairness tests and diagnostics.
-    journal: parking_lot::Mutex<Vec<(PlanId, usize)>>,
 }
 
 #[derive(Debug)]
 struct Sched {
     /// Plans with unclaimed runs, in rotation order.
-    active: VecDeque<Arc<PlanRun>>,
+    active: VecDeque<Arc<PoolPlan>>,
     paused: bool,
     shutdown: bool,
 }
 
-/// The plan's durable spool, type-erased: an `avfi-store` journal the
-/// workers report each completed run (and the terminal phase) into.
-struct SpoolHandle(Arc<dyn RunSink + Send + Sync>);
-
-impl fmt::Debug for SpoolHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SpoolHandle(..)")
-    }
-}
-
-/// Everything a plan submission can carry; the single funnel every
-/// public `submit_*` variant normalizes into.
-struct Submission {
-    plan: WorkPlan,
-    level: TraceLevel,
-    blackbox_seconds: f64,
-    id: PlanId,
-    /// Already-known results by flat index (recovered from a journal).
-    prefilled: Vec<(usize, RunResult)>,
-    /// Already-known traces by flat index (recovered from spooled files).
-    traces: Vec<(usize, RunTrace)>,
-    /// Journaled terminal phase: skip execution, reload as terminal state.
-    terminal: Option<PlanPhase>,
-    spool: Option<Arc<dyn RunSink + Send + Sync>>,
-}
-
 /// A plan recovered from an `avfi-store` journal, re-submitted under its
 /// original id with whatever the journal preserved. Built by the server's
-/// spool recovery scan; see [`MultiplexPool::submit_recovered`].
+/// spool recovery scan; see [`MultiplexPool::submit_recovered`]. Fresh
+/// submissions are the same funnel with nothing recovered.
 pub struct RecoveredSubmission {
     /// The recovered plan, parsed back from the journaled submission.
     pub plan: WorkPlan,
@@ -153,142 +547,23 @@ impl fmt::Debug for RecoveredSubmission {
     }
 }
 
-/// Shared state of one submitted plan.
-#[derive(Debug)]
-struct PlanRun {
-    id: PlanId,
-    plan: WorkPlan,
-    items: Vec<WorkItem>,
-    /// Campaigns in flat order (owned copies so the submitting client
-    /// can disconnect while the plan runs).
-    campaigns: Vec<CampaignConfig>,
-    /// Per-flat-campaign runs left, for `CampaignCompleted` events.
-    remaining: Vec<AtomicUsize>,
-    trace_specs: Option<Vec<TraceSpec>>,
-    /// Flat indices still to execute, in flat-plan order. The whole plan
-    /// for a fresh submission; only the unjournaled gap for a recovered
-    /// one.
-    pending: Vec<usize>,
-    /// Claim cursor into `pending`; mutated only under the scheduler
-    /// lock.
-    next: AtomicUsize,
-    /// Claimed but not yet finished (executed or skipped).
-    outstanding: AtomicUsize,
-    /// Runs actually executed.
-    executed: AtomicUsize,
-    cancelled: AtomicBool,
-    started: AtomicBool,
-    finalized: AtomicBool,
-    /// Result/trace payloads dropped by retention eviction (lifecycle
-    /// status stays queryable).
-    evicted: AtomicBool,
-    submitted_at: Instant,
-    /// Set once, when the plan reaches a terminal phase — the clock
-    /// retention sweeps measure against.
-    finished_at: parking_lot::Mutex<Option<Instant>>,
-    /// Result slots preassigned by flat plan index.
-    slots: Vec<parking_lot::Mutex<Option<RunResult>>>,
-    /// Collected traces, keyed by flat plan index (sorted at finalize).
-    traces: parking_lot::Mutex<Vec<(usize, RunTrace)>>,
-    /// Durable spool (write-ahead journal), when the plan is persisted.
-    spool: Option<SpoolHandle>,
-    state: Mutex<PlanState>,
-    state_changed: Condvar,
-}
-
-#[derive(Debug)]
-struct PlanState {
-    lifecycle: PlanLifecycle,
-    events: Vec<PlanEvent>,
-    results: Option<Vec<StudyResult>>,
-}
-
-impl PlanRun {
-    fn total(&self) -> usize {
-        self.items.len()
-    }
-
-    fn push_event(&self, event: ProgressEvent) {
-        let mut st = self.state.lock().expect("plan state lock");
-        let seq = st.events.len();
-        st.events.push(PlanEvent {
-            plan: self.id,
-            seq,
-            event,
-        });
-        drop(st);
-        self.state_changed.notify_all();
-    }
-
-    /// Queued → Running on the first claimed run.
-    fn mark_running(&self) {
-        if !self.started.swap(true, Ordering::AcqRel) {
-            self.state
-                .lock()
-                .expect("plan state lock")
-                .lifecycle
-                .advance_if_legal(PlanPhase::Running);
-        }
-    }
-}
-
-/// Moves a plan into a terminal phase exactly once: assembles results
-/// (for `Completed`), sorts traces, appends the `Finished` event, and
-/// wakes every waiter.
-fn finalize(run: &PlanRun, phase: PlanPhase) {
-    if run.finalized.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let mut st = run.state.lock().expect("plan state lock");
-    if phase == PlanPhase::Completed {
-        let runs: Vec<RunResult> = run
-            .slots
-            .iter()
-            .map(|slot| slot.lock().take().expect("all runs completed"))
-            .collect();
-        let elapsed = run.submitted_at.elapsed().as_secs_f64();
-        let seq = st.events.len();
-        st.events.push(PlanEvent {
-            plan: run.id,
-            seq,
-            event: ProgressEvent::Finished {
-                elapsed,
-                utilization: Vec::new(),
-                total_km: runs.iter().map(|r| r.distance_km).sum(),
-                total_violations: runs.iter().map(|r| r.violations.len()).sum(),
-            },
-        });
-        st.results = Some(assemble_results(&run.plan, runs));
-        run.traces.lock().sort_by_key(|(idx, _)| *idx);
-    }
-    // Cancel-before-start legally jumps Queued → Cancelled; a cancel
-    // racing completion loses quietly and the plan stays Completed.
-    let actual = st.lifecycle.advance_if_legal(phase);
-    drop(st);
-    *run.finished_at.lock() = Some(Instant::now());
-    if let Some(spool) = &run.spool {
-        spool.0.plan_terminal(actual.name());
-    }
-    run.state_changed.notify_all();
-}
-
 /// Client handle to one submitted plan. Cloneable; all clones observe the
 /// same plan.
 #[derive(Debug, Clone)]
 pub struct PlanTicket {
-    run: Arc<PlanRun>,
+    run: Arc<PoolPlan>,
     shared: Arc<PoolShared>,
 }
 
 impl PlanTicket {
     /// The server-assigned plan id.
     pub fn id(&self) -> PlanId {
-        self.run.id
+        self.run.sinks.id
     }
 
     /// Total runs the plan flattens to.
     pub fn total_runs(&self) -> usize {
-        self.run.total()
+        self.run.items.len()
     }
 
     /// Runs executed so far.
@@ -298,12 +573,7 @@ impl PlanTicket {
 
     /// Current lifecycle phase.
     pub fn phase(&self) -> PlanPhase {
-        self.run
-            .state
-            .lock()
-            .expect("plan state lock")
-            .lifecycle
-            .phase()
+        self.run.sinks.lock().lifecycle.phase()
     }
 
     /// Cancels the plan: unclaimed runs are dropped, claimed-but-unstarted
@@ -311,39 +581,32 @@ impl PlanTicket {
     /// finish. Returns the phase after the cancel took effect — a plan
     /// that already completed stays [`PlanPhase::Completed`].
     pub fn cancel(&self) -> PlanPhase {
-        self.run.cancelled.store(true, Ordering::Release);
-        {
-            let mut sched = self.shared.sched.lock().expect("pool sched lock");
-            sched.active.retain(|p| p.id != self.run.id);
-        }
-        // Idle at cancel time (queued, or every claimed run already
-        // finished): nobody else will finalize, do it here.
-        if self.run.outstanding.load(Ordering::Acquire) == 0
-            && self.run.executed.load(Ordering::Acquire) < self.run.total()
-        {
-            finalize(&self.run, PlanPhase::Cancelled);
-        }
+        let mut sched = self.shared.sched.lock().expect("pool sched lock");
+        sched.active.retain(|p| !Arc::ptr_eq(p, &self.run));
+        drop(sched);
+        self.run.cancel();
         self.phase()
     }
 
     /// Blocks until the plan reaches a terminal phase and returns it.
     pub fn wait_terminal(&self) -> PlanPhase {
-        let mut st = self.run.state.lock().expect("plan state lock");
-        while !st.lifecycle.phase().is_terminal() {
-            st = self.run.state_changed.wait(st).expect("plan state lock");
-        }
-        st.lifecycle.phase()
+        self.run
+            .sinks
+            .wait(usize::MAX, |st| st.lifecycle.phase().is_terminal())
+            .1
     }
 
     /// The plan's results: `Some` once [`PlanPhase::Completed`], `None`
-    /// otherwise (including cancelled plans).
+    /// otherwise (including cancelled and evicted plans).
     pub fn results(&self) -> Option<Vec<StudyResult>> {
-        self.run
-            .state
-            .lock()
-            .expect("plan state lock")
-            .results
-            .clone()
+        let Work::Plan(plan) = &self.run.work else {
+            return None;
+        };
+        if self.phase() != PlanPhase::Completed {
+            return None;
+        }
+        let runs = self.run.slots.iter().map(|slot| slot.lock().clone());
+        Some(assemble_results(plan, runs.collect::<Option<_>>()?))
     }
 
     /// Blocks until terminal, then returns the results (`None` unless the
@@ -363,13 +626,13 @@ impl PlanTicket {
     /// still queued or running — the age a retention sweep compares
     /// against its cutoff.
     pub fn finished_elapsed(&self) -> Option<std::time::Duration> {
-        self.run.finished_at.lock().map(|at| at.elapsed())
+        self.run.sinks.finished_at.lock().map(|at| at.elapsed())
     }
 
     /// `true` once [`PlanTicket::evict_payloads`] dropped this plan's
     /// result and trace payloads.
     pub fn is_evicted(&self) -> bool {
-        self.run.evicted.load(Ordering::Acquire)
+        self.run.sinks.evicted.load(Ordering::Acquire)
     }
 
     /// Drops the plan's result and trace payloads to reclaim memory,
@@ -378,35 +641,30 @@ impl PlanTicket {
     /// queued or running is left untouched and `false` is returned.
     /// Idempotent; returns `true` once eviction has happened.
     pub fn evict_payloads(&self) -> bool {
-        let mut st = self.run.state.lock().expect("plan state lock");
-        if !st.lifecycle.phase().is_terminal() {
+        if !self.phase().is_terminal() {
             return false;
         }
-        st.results = None;
-        drop(st);
+        for slot in &self.run.slots {
+            slot.lock().take();
+        }
         self.run.traces.lock().clear();
-        self.run.evicted.store(true, Ordering::Release);
+        self.run.sinks.evicted.store(true, Ordering::Release);
         true
     }
 
     /// Snapshot of the event log from sequence number `from` on, plus the
     /// current phase.
     pub fn events_after(&self, from: usize) -> (Vec<PlanEvent>, PlanPhase) {
-        let st = self.run.state.lock().expect("plan state lock");
-        let events = st.events.get(from..).unwrap_or_default().to_vec();
-        (events, st.lifecycle.phase())
+        self.run.sinks.wait(from, |_| true)
     }
 
     /// Blocks until the log grows past `from` or the plan is terminal,
     /// then returns the new events and the phase. An empty event list
     /// with a terminal phase means the stream is exhausted.
     pub fn wait_events_after(&self, from: usize) -> (Vec<PlanEvent>, PlanPhase) {
-        let mut st = self.run.state.lock().expect("plan state lock");
-        while st.events.len() <= from && !st.lifecycle.phase().is_terminal() {
-            st = self.run.state_changed.wait(st).expect("plan state lock");
-        }
-        let events = st.events.get(from..).unwrap_or_default().to_vec();
-        (events, st.lifecycle.phase())
+        self.run.sinks.wait(from, |st| {
+            st.events.len() > from || st.lifecycle.phase().is_terminal()
+        })
     }
 }
 
@@ -434,14 +692,13 @@ impl MultiplexPool {
         };
         let shared = Arc::new(PoolShared {
             workers,
-            sched: Mutex::new(Sched {
+            sched: std::sync::Mutex::new(Sched {
                 active: VecDeque::new(),
                 paused,
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
             next_plan_id: AtomicU64::new(0),
-            journal: parking_lot::Mutex::new(Vec::new()),
         });
         let handles = (0..workers)
             .map(|worker| {
@@ -481,17 +738,7 @@ impl MultiplexPool {
         level: TraceLevel,
         blackbox_seconds: f64,
     ) -> PlanTicket {
-        let id = self.allocate_id();
-        self.submit_full(Submission {
-            plan,
-            level,
-            blackbox_seconds,
-            id,
-            prefilled: Vec::new(),
-            traces: Vec::new(),
-            terminal: None,
-            spool: None,
-        })
+        self.submit_spooled(plan, level, blackbox_seconds, |_| None)
     }
 
     /// [`MultiplexPool::submit_traced`] with a durable spool attached:
@@ -508,9 +755,8 @@ impl MultiplexPool {
         blackbox_seconds: f64,
         make_spool: impl FnOnce(PlanId) -> Option<Arc<dyn RunSink + Send + Sync>>,
     ) -> PlanTicket {
-        let id = self.allocate_id();
-        let spool = make_spool(id);
-        self.submit_full(Submission {
+        let id = self.shared.next_plan_id.fetch_add(1, Ordering::Relaxed) + 1;
+        self.submit_full(RecoveredSubmission {
             plan,
             level,
             blackbox_seconds,
@@ -518,7 +764,7 @@ impl MultiplexPool {
             prefilled: Vec::new(),
             traces: Vec::new(),
             terminal: None,
-            spool,
+            spool: make_spool(id),
         })
     }
 
@@ -533,19 +779,8 @@ impl MultiplexPool {
     ///
     /// [`Engine`]: super::Engine
     pub fn submit_recovered(&self, sub: RecoveredSubmission) -> PlanTicket {
-        self.shared
-            .next_plan_id
-            .fetch_max(sub.id, Ordering::Relaxed);
-        self.submit_full(Submission {
-            plan: sub.plan,
-            level: sub.level,
-            blackbox_seconds: sub.blackbox_seconds,
-            id: sub.id,
-            prefilled: sub.prefilled,
-            traces: sub.traces,
-            terminal: sub.terminal,
-            spool: sub.spool,
-        })
+        self.reserve_plan_ids(sub.id);
+        self.submit_full(sub)
     }
 
     /// Ensures future plan ids are strictly greater than `max_seen` —
@@ -557,111 +792,34 @@ impl MultiplexPool {
             .fetch_max(max_seen, Ordering::Relaxed);
     }
 
-    fn allocate_id(&self) -> PlanId {
-        self.shared.next_plan_id.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    fn submit_full(&self, sub: Submission) -> PlanTicket {
-        let Submission {
-            plan,
-            level,
-            blackbox_seconds,
-            id,
-            prefilled,
-            traces,
-            terminal,
-            spool,
-        } = sub;
-        let items = flatten_items(&plan);
-        let campaigns: Vec<CampaignConfig> = plan
-            .studies()
-            .iter()
-            .flat_map(|s| s.campaigns.iter().cloned())
-            .collect();
-        let total = items.len();
-
-        // Slot in recovered results: first record wins, out-of-bounds
-        // indices are dropped (resume re-executes anything not slotted;
-        // determinism keeps the output identical either way).
-        let slots: Vec<parking_lot::Mutex<Option<RunResult>>> =
-            (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
-        let mut campaign_done = vec![0usize; campaigns.len()];
-        let mut prefilled_count = 0usize;
-        for (idx, result) in prefilled {
-            if idx >= total {
-                continue;
-            }
-            let mut slot = slots[idx].lock();
-            if slot.is_none() {
-                *slot = Some(result);
-                campaign_done[items[idx].flat_campaign] += 1;
-                prefilled_count += 1;
-            }
-        }
+    fn submit_full(&self, sub: RecoveredSubmission) -> PlanTicket {
+        let specs = if sub.level == TraceLevel::Off {
+            Vec::new()
+        } else {
+            plan_trace_specs(&sub.plan, sub.level, sub.blackbox_seconds)
+        };
+        let log = PlanLog {
+            id: sub.id,
+            state: std::sync::Mutex::new(LogState {
+                lifecycle: PlanLifecycle::new(),
+                events: Vec::new(),
+            }),
+            changed: Condvar::new(),
+            spool: sub.spool,
+            finished_at: Mutex::new(None),
+            evicted: AtomicBool::new(false),
+        };
+        let work = Work::Plan(Cow::Owned(sub.plan));
+        let run = Arc::new(PlanRun::new(work, specs, None, sub.prefilled, log));
+        *run.traces.lock() = sub.traces;
         // A journaled terminal `Completed` implies full run coverage (the
         // journal appends every run record before the terminal one); if a
         // journal claims otherwise, ignore the claim and run the gap.
-        let terminal = match terminal {
-            Some(PlanPhase::Completed) if prefilled_count < total => None,
-            t => t,
-        };
-        let pending: Vec<usize> = if terminal.is_some() {
-            Vec::new()
-        } else {
-            (0..total).filter(|&i| slots[i].lock().is_none()).collect()
-        };
-
-        let remaining = campaigns
-            .iter()
-            .zip(&campaign_done)
-            .map(|(c, &done)| AtomicUsize::new(c.total_runs() - done))
-            .collect();
-        let blackbox_frames = ((blackbox_seconds / FRAME_DT).ceil() as usize).max(1);
-        let trace_specs =
-            (level != TraceLevel::Off).then(|| plan_trace_specs(&plan, level, blackbox_frames));
-        let run = Arc::new(PlanRun {
-            id,
-            plan,
-            items,
-            campaigns,
-            remaining,
-            trace_specs,
-            pending,
-            next: AtomicUsize::new(0),
-            outstanding: AtomicUsize::new(0),
-            executed: AtomicUsize::new(prefilled_count),
-            cancelled: AtomicBool::new(false),
-            started: AtomicBool::new(false),
-            finalized: AtomicBool::new(false),
-            evicted: AtomicBool::new(false),
-            submitted_at: Instant::now(),
-            finished_at: parking_lot::Mutex::new(None),
-            slots,
-            traces: parking_lot::Mutex::new(traces),
-            spool: spool.map(SpoolHandle),
-            state: Mutex::new(PlanState {
-                lifecycle: PlanLifecycle::new(),
-                events: Vec::new(),
-                results: None,
-            }),
-            state_changed: Condvar::new(),
-        });
-        run.push_event(ProgressEvent::Started {
-            total_runs: total,
-            campaigns: run.campaigns.len(),
-            workers: self.shared.workers,
-        });
-        if let Some(phase) = terminal {
-            // Recovered already-terminal plan: reload it as fetchable
-            // state without executing anything.
-            run.mark_running();
-            finalize(&run, phase);
-        } else if run.pending.is_empty() {
-            // Trivially complete (empty plan, or recovery journaled every
-            // run); never enters the rotation.
-            run.mark_running();
-            finalize(&run, PlanPhase::Completed);
-        } else {
+        let terminal = sub
+            .terminal
+            .filter(|&phase| phase != PlanPhase::Completed || run.pending.is_empty());
+        run.start(self.shared.workers, terminal);
+        if !run.finalized.load(Ordering::Acquire) {
             let mut sched = self.shared.sched.lock().expect("pool sched lock");
             sched.active.push_back(Arc::clone(&run));
             drop(sched);
@@ -673,23 +831,13 @@ impl MultiplexPool {
         }
     }
 
-    /// Global claim journal: (plan, flat index) in claim order.
-    pub fn execution_journal(&self) -> Vec<(PlanId, usize)> {
-        self.shared.journal.lock().clone()
-    }
-
     /// Cancels every queued plan, stops the workers (in-flight runs
     /// finish), and joins them.
     pub fn shutdown(self) {
         {
             let mut sched = self.shared.sched.lock().expect("pool sched lock");
             sched.shutdown = true;
-            for plan in sched.active.drain(..) {
-                plan.cancelled.store(true, Ordering::Release);
-                if plan.outstanding.load(Ordering::Acquire) == 0 {
-                    finalize(&plan, PlanPhase::Cancelled);
-                }
-            }
+            sched.active.drain(..).for_each(|plan| plan.cancel());
         }
         self.shared.work_ready.notify_all();
         for handle in self.handles {
@@ -699,136 +847,43 @@ impl MultiplexPool {
 }
 
 /// Claims the next run under fair round-robin: one run from the front
-/// plan, which then rotates to the back. Cancelled and fully claimed
-/// plans drop out of the rotation here.
-fn claim(
-    sched: &mut Sched,
-    journal: &parking_lot::Mutex<Vec<(PlanId, usize)>>,
-) -> Option<(Arc<PlanRun>, usize)> {
+/// plan, which then rotates to the back while it has unclaimed runs. The
+/// first claim moves a plan from Queued to Running.
+fn claim_round_robin(sched: &mut Sched) -> Option<(Arc<PoolPlan>, usize)> {
     while let Some(plan) = sched.active.pop_front() {
-        if plan.cancelled.load(Ordering::Acquire) {
-            if plan.outstanding.load(Ordering::Acquire) == 0 {
-                finalize(&plan, PlanPhase::Cancelled);
-            }
-            continue;
+        let Some(i) = plan.claim() else { continue };
+        if plan.claimed() == 1 {
+            plan.sinks
+                .lock()
+                .lifecycle
+                .advance_if_legal(PlanPhase::Running);
         }
-        let i = plan.next.load(Ordering::Relaxed);
-        if i >= plan.pending.len() {
-            continue;
-        }
-        plan.next.store(i + 1, Ordering::Relaxed);
-        plan.outstanding.fetch_add(1, Ordering::AcqRel);
-        let flat = plan.pending[i];
-        journal.lock().push((plan.id, flat));
-        if i + 1 < plan.pending.len() {
+        if plan.claimed() < plan.pending.len() {
             sched.active.push_back(Arc::clone(&plan));
         }
-        return Some((plan, flat));
+        return Some((plan, i));
     }
     None
 }
 
 fn worker_loop(shared: &PoolShared, worker: usize) {
+    let mut recorder = Recorder::default();
     loop {
-        let (plan, idx) = {
+        let (plan, i) = {
             let mut sched = shared.sched.lock().expect("pool sched lock");
             loop {
                 if sched.shutdown {
                     return;
                 }
                 if !sched.paused {
-                    if let Some(claimed) = claim(&mut sched, &shared.journal) {
+                    if let Some(claimed) = claim_round_robin(&mut sched) {
                         break claimed;
                     }
                 }
                 sched = shared.work_ready.wait(sched).expect("pool sched lock");
             }
         };
-        execute_item(&plan, idx, worker);
-    }
-}
-
-/// Runs one claimed item (the worker drain loop body). The cooperative
-/// cancellation check sits here: a run claimed before its plan was
-/// cancelled is skipped, not executed.
-fn execute_item(plan: &Arc<PlanRun>, idx: usize, worker: usize) {
-    if !plan.cancelled.load(Ordering::Acquire) {
-        plan.mark_running();
-        let item = plan.items[idx];
-        let cfg = &plan.campaigns[item.flat_campaign];
-        let (result, trace) = match &plan.trace_specs {
-            Some(specs) => {
-                let spec = &specs[item.flat_campaign];
-                let mut recorder = if spec.level == TraceLevel::Blackbox {
-                    Recorder::ring(spec.blackbox_frames.max(1))
-                } else {
-                    Recorder::new(false)
-                };
-                run_single_traced(
-                    &cfg.scenarios[item.scenario],
-                    item.scenario,
-                    item.run,
-                    &cfg.fault,
-                    &cfg.agent,
-                    spec,
-                    &mut recorder,
-                )
-            }
-            None => (
-                run_single(
-                    &cfg.scenarios[item.scenario],
-                    item.scenario,
-                    item.run,
-                    &cfg.fault,
-                    &cfg.agent,
-                ),
-                None,
-            ),
-        };
-        // Journal before the in-memory publish: a crash after the spool
-        // write simply replays an already-slotted run on resume, which
-        // determinism makes harmless; a crash before it re-executes the
-        // run to the identical result.
-        if let Some(spool) = &plan.spool {
-            spool.0.run_completed(idx, &result, trace.as_ref());
-        }
-        if let Some(trace) = trace {
-            plan.traces.lock().push((idx, trace));
-        }
-        let (km, violations, success) = (
-            result.distance_km,
-            result.violations.len(),
-            result.outcome.is_success(),
-        );
-        // Slot before counter: a reader seeing `executed == total` must
-        // also see every slot filled.
-        *plan.slots[idx].lock() = Some(result);
-        let executed = plan.executed.fetch_add(1, Ordering::AcqRel) + 1;
-        plan.push_event(ProgressEvent::RunCompleted {
-            study: item.study,
-            campaign: item.campaign,
-            scenario: item.scenario,
-            run: item.run,
-            worker,
-            completed: executed,
-            total: plan.total(),
-            km,
-            violations,
-            success,
-        });
-        if plan.remaining[item.flat_campaign].fetch_sub(1, Ordering::AcqRel) == 1 {
-            plan.push_event(ProgressEvent::CampaignCompleted {
-                study: item.study,
-                campaign: item.campaign,
-                label: cfg.fault.label(),
-            });
-        }
-    }
-    let outstanding = plan.outstanding.fetch_sub(1, Ordering::AcqRel) - 1;
-    if plan.executed.load(Ordering::Acquire) == plan.total() {
-        finalize(plan, PlanPhase::Completed);
-    } else if plan.cancelled.load(Ordering::Acquire) && outstanding == 0 {
-        finalize(plan, PlanPhase::Cancelled);
+        plan.execute(i, worker, &mut recorder);
     }
 }
 
@@ -905,46 +960,79 @@ mod tests {
         pool.shutdown();
     }
 
+    /// Many small plans on 4 workers: in every plan's log `Started` comes
+    /// first, `Finished` last, and every run's event lands before it.
     #[test]
     fn events_are_plan_tagged_and_complete() {
-        let pool = MultiplexPool::new(2);
-        let t = pool.submit(plan_a());
-        t.wait_terminal();
-        let (events, phase) = t.events_after(0);
-        assert_eq!(phase, PlanPhase::Completed);
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.plan, t.id());
-            assert_eq!(e.seq, i);
+        let pool = MultiplexPool::new(4);
+        // Missions of a few frames, so runs of one plan finish together.
+        let blink = |seed| quick_scenario(seed).to_builder().time_budget(0.2).build();
+        let small = |seed| {
+            let cfg = CampaignConfig::builder(vec![blink(seed), blink(seed + 1)])
+                .runs_per_scenario(2)
+                .build();
+            WorkPlan::new().with_study("small", vec![cfg])
+        };
+        let mut tickets = vec![pool.submit(plan_a())];
+        tickets.extend((0..100).map(|seed| pool.submit(small(seed))));
+        for t in &tickets {
+            assert_eq!(t.wait_terminal(), PlanPhase::Completed);
+            let (events, _) = t.events_after(0);
+            for (i, e) in events.iter().enumerate() {
+                assert_eq!(e.plan, t.id());
+                assert_eq!(e.seq, i);
+            }
+            assert!(matches!(
+                events.first().unwrap().event,
+                ProgressEvent::Started { .. }
+            ));
+            assert!(
+                matches!(events.last().unwrap().event, ProgressEvent::Finished { .. }),
+                "plan {}: Finished is not the last event",
+                t.id()
+            );
+            let runs = events
+                .iter()
+                .filter(|e| matches!(e.event, ProgressEvent::RunCompleted { .. }))
+                .count();
+            assert_eq!(runs, t.total_runs());
         }
-        assert!(matches!(
-            events.first().unwrap().event,
-            ProgressEvent::Started { .. }
-        ));
-        assert!(matches!(
-            events.last().unwrap().event,
-            ProgressEvent::Finished { .. }
-        ));
-        let runs = events
-            .iter()
-            .filter(|e| matches!(e.event, ProgressEvent::RunCompleted { .. }))
-            .count();
-        assert_eq!(runs, plan_a().total_runs());
         pool.shutdown();
     }
 
+    /// Records `(plan, flat index)` of every completed run, in order.
+    struct CompletionOrder {
+        plan: PlanId,
+        order: Arc<Mutex<Vec<(PlanId, usize)>>>,
+    }
+
+    impl RunSink for CompletionOrder {
+        fn run_completed(&self, flat_index: usize, _: &RunResult, _: Option<&RunTrace>) {
+            self.order.lock().push((self.plan, flat_index));
+        }
+    }
+
     /// One worker, two staged plans: the rotation must alternate strictly
-    /// — A0 B0 A1 B1 … — instead of draining A before B.
+    /// — A0 B0 A1 B1 … — instead of draining A before B. With one worker
+    /// completion order is claim order.
     #[test]
     fn round_robin_is_fair_across_plans() {
         let pool = MultiplexPool::paused(1);
-        let ta = pool.submit(plan_b());
-        let tb = pool.submit(plan_b());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let submit = || {
+            pool.submit_spooled(plan_b(), TraceLevel::Off, 30.0, |plan| {
+                let order = Arc::clone(&order);
+                Some(Arc::new(CompletionOrder { plan, order }) as Arc<dyn RunSink + Send + Sync>)
+            })
+        };
+        let ta = submit();
+        let tb = submit();
         pool.resume();
         ta.wait_terminal();
         tb.wait_terminal();
-        let journal = pool.execution_journal();
-        assert_eq!(journal.len(), 8);
-        for (i, (plan, idx)) in journal.iter().enumerate() {
+        let order = order.lock();
+        assert_eq!(order.len(), 8);
+        for (i, (plan, idx)) in order.iter().enumerate() {
             let expect_plan = if i.is_multiple_of(2) {
                 ta.id()
             } else {
@@ -1021,7 +1109,8 @@ mod tests {
     }
 
     /// Traced submissions collect blackbox traces in memory, keyed by
-    /// flat index and invariant to pool scheduling.
+    /// flat index and invariant to pool scheduling — and byte-equal to
+    /// the trace files a traced `Engine` writes for the same plan.
     #[test]
     fn traced_submission_collects_worker_invariant_traces() {
         let stuck = FaultSpec::Hardware(HardwareFault::always(
@@ -1049,6 +1138,19 @@ mod tests {
         let mut sorted = indices.clone();
         sorted.sort_unstable();
         assert_eq!(indices, sorted, "traces sorted by flat index");
+
+        let dir = std::env::temp_dir().join(format!("avfi-pool-traces-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = super::super::TraceConfig::new(&dir, TraceLevel::Blackbox);
+        config.blackbox_seconds = 5.0;
+        Engine::new().workers(2).with_trace(config).execute(&plan);
+        let files = avfi_trace::list_trace_files(&dir).unwrap();
+        assert_eq!(files.len(), one.len());
+        for (path, (idx, trace)) in files.iter().zip(&one) {
+            assert!(path.ends_with(avfi_trace::trace_file_name(*idx)));
+            assert_eq!(std::fs::read(path).unwrap(), avfi_trace::encode(trace));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A recovered terminal plan reloads as fetchable state without

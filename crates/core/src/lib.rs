@@ -23,11 +23,11 @@
 //! [`trigger`], and the wrapper that applies everything around a driving
 //! agent in [`harness`]. [`campaign`] runs seeded, parallel campaigns;
 //! [`engine`] flattens whole multi-campaign studies into one
-//! deterministic work-stealing queue with streamed
-//! [`engine::ProgressSink`] observability, and [`engine::pool`] keeps a
-//! persistent [`engine::MultiplexPool`] that multiplexes many
-//! concurrently submitted plans onto one shared worker pool (the
-//! `avfi-server` campaign service is built on it);
+//! deterministic work queue with streamed [`engine::ProgressSink`]
+//! observability; [`engine::pool`] holds the one executor that both the
+//! solo [`Engine`] and the persistent [`engine::MultiplexPool`] drive,
+//! the latter multiplexing many concurrently submitted plans onto one
+//! shared worker pool (the `avfi-server` campaign service is built on it);
 //! [`metrics`] computes the paper's resilience metrics (MSR, VPK, APK,
 //! TTV); [`stats`] and [`report`] summarize and render results. The
 //! flight recorder (the `avfi-trace` crate) plugs in through
@@ -64,7 +64,6 @@
 
 pub mod adaptive;
 pub mod campaign;
-pub mod compare;
 pub mod engine;
 pub mod fault;
 pub mod harness;

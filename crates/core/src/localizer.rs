@@ -6,7 +6,6 @@
 //! selectors for weight faults, layer/unit sampling for neuron faults, and
 //! bit-position sampling for hardware faults.
 
-use avfi_agent::IlNetwork;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -43,12 +42,6 @@ pub struct NeuronSite {
     pub unit: usize,
 }
 
-/// Enumerates the qualified parameter names of a network (the localizer's
-/// "map" of the IL-CNN).
-pub fn parameter_names(net: &mut IlNetwork) -> Vec<String> {
-    net.params().iter().map(|p| p.name.clone()).collect()
-}
-
 /// Sizes of the trunk layer outputs of the default IL architecture, used
 /// to sample valid neuron sites. Index = trunk layer.
 fn trunk_output_sizes() -> Vec<usize> {
@@ -73,23 +66,10 @@ pub fn sample_neuron_site(rng: &mut StdRng) -> NeuronSite {
     NeuronSite { layer, unit }
 }
 
-/// Samples a neuron site in a *specific* trunk layer.
-///
-/// # Panics
-///
-/// Panics if `layer` is out of range for the default architecture.
-pub fn sample_neuron_in_layer(layer: usize, rng: &mut StdRng) -> NeuronSite {
-    let sizes = trunk_output_sizes();
-    assert!(layer < sizes.len(), "layer {layer} out of range");
-    NeuronSite {
-        layer,
-        unit: rng.random_range(0..sizes[layer]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avfi_agent::IlNetwork;
     use avfi_sim::rng::stream_rng;
 
     #[test]
@@ -99,20 +79,6 @@ mod tests {
         assert!(!ParamSelector::Prefix("trunk.".into()).matches("head0.dense0.weight"));
         assert!(ParamSelector::WeightsOnly.matches("head2.dense0.weight"));
         assert!(!ParamSelector::WeightsOnly.matches("head2.dense0.bias"));
-    }
-
-    #[test]
-    fn parameter_names_cover_trunk_and_heads() {
-        let mut net = IlNetwork::new(1);
-        let names = parameter_names(&mut net);
-        assert!(names.iter().any(|n| n.starts_with("trunk.conv")));
-        assert!(names.iter().any(|n| n.starts_with("trunk.dense")));
-        for h in 0..4 {
-            assert!(
-                names.iter().any(|n| n.starts_with(&format!("head{h}."))),
-                "missing head{h}"
-            );
-        }
     }
 
     #[test]
@@ -132,20 +98,5 @@ mod tests {
             assert_ne!(clean.data(), faulty.data(), "site {site:?} had no effect");
             net.clear_overrides();
         }
-    }
-
-    #[test]
-    fn per_layer_sampling_respects_layer() {
-        let mut rng = stream_rng(2, 0);
-        for layer in 0..7 {
-            let site = sample_neuron_in_layer(layer, &mut rng);
-            assert_eq!(site.layer, layer);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_layer_panics() {
-        let _ = sample_neuron_in_layer(99, &mut stream_rng(3, 0));
     }
 }

@@ -12,8 +12,7 @@
 
 use crate::campaign::{run_single_traced, AgentSpec, TraceSpec};
 use crate::fault::FaultSpec;
-use avfi_sim::recorder::Recorder;
-use avfi_trace::{fingerprint, RunTrace, TraceHeader, TraceLevel};
+use avfi_trace::{fingerprint, RunTrace, TraceHeader};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -234,11 +233,7 @@ pub fn replay_trace(
         blackbox_frames: header.blackbox_frames,
         weights_fingerprint: header.weights_fingerprint,
     };
-    let mut recorder = if header.level == TraceLevel::Blackbox {
-        Recorder::ring(header.blackbox_frames.max(1))
-    } else {
-        Recorder::new(false)
-    };
+    let mut recorder = spec.recorder();
     let (_, replayed) = run_single_traced(
         &header.scenario,
         header.scenario_index,

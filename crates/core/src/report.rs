@@ -1,5 +1,5 @@
 //! Report rendering: aligned ASCII tables, bar charts, box-plot rows, and
-//! machine-readable JSON/CSV export of campaign results.
+//! machine-readable JSON export of campaign results.
 
 use crate::campaign::CampaignResult;
 use crate::stats::Summary;
@@ -123,36 +123,6 @@ pub fn box_plot_row(s: &Summary, axis_lo: f64, axis_hi: f64, width: usize) -> St
 /// Propagates serialization failures (none occur for these types).
 pub fn to_json(result: &CampaignResult) -> Result<String, serde_json::Error> {
     serde_json::to_string_pretty(result)
-}
-
-/// Renders per-run rows as CSV (one line per run, header included).
-pub fn to_csv(results: &[&CampaignResult]) -> String {
-    let mut out = String::from(
-        "fault,agent,scenario,run,seed,success,duration_s,distance_km,violations,accidents,injection_time_s\n",
-    );
-    for result in results {
-        for r in result.runs() {
-            let accidents = r.violations.iter().filter(|v| v.kind.is_accident()).count();
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{:.2},{:.4},{},{},{}",
-                r.fault,
-                r.agent,
-                r.scenario_index,
-                r.run_index,
-                r.seed,
-                r.outcome.is_success(),
-                r.duration,
-                r.distance_km,
-                r.violations.len(),
-                accidents,
-                r.injection_time
-                    .map(|t| format!("{t:.2}"))
-                    .unwrap_or_default(),
-            );
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod actors;
+pub mod fnv;
 pub mod map;
 pub mod math;
 pub mod physics;

@@ -17,27 +17,13 @@
 //! The trailing checksum covers the header too, so truncation, trailing
 //! garbage, or any byte flip is rejected at decode time.
 
+use crate::fnv::fnv1a64;
 use crate::sensors::Image;
 use std::io;
 use std::path::Path;
 
 /// File magic: format name plus a version byte.
 const MAGIC: [u8; 8] = *b"AVIMG\x01\0\0";
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64 prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Serializes an image to `.avimg` bytes.
 pub fn encode_avimg(img: &Image) -> Vec<u8> {
@@ -48,7 +34,7 @@ pub fn encode_avimg(img: &Image) -> Vec<u8> {
     for v in img.data() {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    let sum = fnv1a(&out);
+    let sum = fnv1a64(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -56,7 +42,7 @@ pub fn encode_avimg(img: &Image) -> Vec<u8> {
 /// The FNV-1a 64 content checksum an encoded image would carry, without
 /// materializing the byte buffer twice. Used for compact drift reports.
 pub fn avimg_checksum(img: &Image) -> u64 {
-    fnv1a(&encode_avimg_body(img))
+    fnv1a64(&encode_avimg_body(img))
 }
 
 fn encode_avimg_body(img: &Image) -> Vec<u8> {
@@ -90,7 +76,7 @@ pub fn decode_avimg(bytes: &[u8]) -> io::Result<Image> {
         return Err(bad("avimg: length does not match dimensions"));
     }
     let stored = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
-    if fnv1a(&bytes[..body_len]) != stored {
+    if fnv1a64(&bytes[..body_len]) != stored {
         return Err(bad("avimg: checksum mismatch (file corrupted)"));
     }
     let mut img = Image::new(w, h);

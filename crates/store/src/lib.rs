@@ -57,6 +57,7 @@
 use avfi_core::campaign::RunResult;
 use avfi_core::engine::{assemble_results, Engine, ProgressSink, RunSink};
 use avfi_core::{StudyResult, WorkPlan};
+use avfi_sim::fnv::{fnv1a64, fnv1a64_extend};
 use avfi_trace::RunTrace;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -103,17 +104,10 @@ pub enum JournalRecord {
     },
 }
 
-/// FNV-1a-64 over a sequence of byte slices (the same constants the
-/// `.avtr` codec and `avfi_trace::fingerprint` use).
-fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// The record trailer: FNV-1a-64 of the length prefix followed by the
+/// payload.
+fn fnv64(len: &[u8], payload: &[u8]) -> u64 {
+    fnv1a64_extend(fnv1a64(len), payload)
 }
 
 /// Encodes one record into its on-disk framing:
@@ -122,7 +116,7 @@ pub fn encode_record(record: &JournalRecord) -> Vec<u8> {
     let payload = serde_json::to_string(record).expect("journal record serializes");
     let payload = payload.as_bytes();
     let len = (payload.len() as u32).to_le_bytes();
-    let cksum = fnv64(&[&len, payload]).to_le_bytes();
+    let cksum = fnv64(&len, payload).to_le_bytes();
     let mut buf = Vec::with_capacity(payload.len() + RECORD_OVERHEAD);
     buf.extend_from_slice(&len);
     buf.extend_from_slice(payload);
@@ -166,7 +160,7 @@ pub fn recover(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
         let payload = &bytes[pos + 4..pos + 4 + len];
         let trailer = &bytes[pos + 4 + len..end];
         let cksum = u64::from_le_bytes(trailer.try_into().expect("8-byte slice"));
-        if fnv64(&[len_bytes, payload]) != cksum {
+        if fnv64(len_bytes, payload) != cksum {
             break;
         }
         let Ok(record) = serde_json::from_slice::<JournalRecord>(payload) else {

@@ -272,12 +272,7 @@ impl RunTrace {
 /// FNV-1a fingerprint of a byte slice (used for the weights fingerprint
 /// and the codec checksum).
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    avfi_sim::fnv::fnv1a64(bytes)
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release (perfbench, so an API change that breaks the benchmark fails here)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
