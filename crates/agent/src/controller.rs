@@ -1,8 +1,9 @@
 //! The driver abstraction shared by the expert, the neural agent, and the
 //! fault-injecting wrappers in `avfi-core`.
 
-use crate::features::{image_to_tensor, normalize_speed};
+use crate::features::{image_to_tensor_into, normalize_speed, NET_HEIGHT, NET_WIDTH};
 use crate::ilnet::IlNetwork;
+use avfi_nn::Tensor;
 use avfi_sim::physics::VehicleControl;
 use avfi_sim::sensors::{GpsFix, Image, LidarScan};
 use avfi_sim::world::{World, WorldObservation};
@@ -55,6 +56,12 @@ pub trait Driver {
 
     /// Short policy name for reports.
     fn name(&self) -> &'static str;
+
+    /// Whether [`Driver::drive`] ever reads [`DriverInput::image`]. A
+    /// driver that answers `false` is promising that the camera image
+    /// cannot change its output, so the world may skip rendering it and
+    /// a fault injector may skip corrupting it.
+    fn reads_camera(&self) -> bool;
 }
 
 /// The neural (conditional imitation) driver: camera + speed + command in,
@@ -62,12 +69,17 @@ pub trait Driver {
 #[derive(Debug)]
 pub struct NeuralDriver {
     net: IlNetwork,
+    /// Reused network input, refilled from the camera every frame.
+    input: Tensor,
 }
 
 impl NeuralDriver {
     /// Wraps a (trained) network.
     pub fn new(net: IlNetwork) -> Self {
-        NeuralDriver { net }
+        NeuralDriver {
+            net,
+            input: Tensor::zeros(vec![1, NET_HEIGHT, NET_WIDTH]),
+        }
     }
 
     /// The underlying network (for ML fault injection).
@@ -83,13 +95,17 @@ impl NeuralDriver {
 
 impl Driver for NeuralDriver {
     fn drive(&mut self, input: &DriverInput<'_>) -> VehicleControl {
-        let image = image_to_tensor(input.image);
+        image_to_tensor_into(input.image, &mut self.input);
         let speed = normalize_speed(input.speed);
-        self.net.predict(&image, speed, input.obs.command)
+        self.net.predict(&self.input, speed, input.obs.command)
     }
 
     fn name(&self) -> &'static str {
         "il-cnn"
+    }
+
+    fn reads_camera(&self) -> bool {
+        true
     }
 }
 

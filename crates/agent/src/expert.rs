@@ -166,6 +166,11 @@ impl Driver for ExpertDriver {
     fn name(&self) -> &'static str {
         "expert"
     }
+
+    /// The expert drives from ground truth (a perfect-perception oracle).
+    fn reads_camera(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

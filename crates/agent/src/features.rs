@@ -15,13 +15,35 @@ pub const SPEED_SCALE: f64 = 10.0;
 /// `[1, NET_HEIGHT, NET_WIDTH]`: grayscale, nearest-neighbor downsample,
 /// zero-centered (`luma − 0.5`).
 pub fn image_to_tensor(image: &Image) -> Tensor {
-    let small = if image.width() == NET_WIDTH && image.height() == NET_HEIGHT {
-        image.clone()
-    } else {
-        image.resized(NET_WIDTH, NET_HEIGHT)
-    };
-    let gray: Vec<f32> = small.to_grayscale().iter().map(|v| v - 0.5).collect();
-    Tensor::from_vec(gray, vec![1, NET_HEIGHT, NET_WIDTH])
+    let mut tensor = Tensor::zeros(vec![1, NET_HEIGHT, NET_WIDTH]);
+    image_to_tensor_into(image, &mut tensor);
+    tensor
+}
+
+/// [`image_to_tensor`] into a caller-owned `[1, NET_HEIGHT, NET_WIDTH]`
+/// tensor, without allocating. Each element is the Rec. 601 luma of the
+/// nearest-neighbor source pixel (the sampling of [`Image::resized`],
+/// the weights of [`Image::to_grayscale`]) minus 0.5, in that f32
+/// operation order.
+///
+/// # Panics
+///
+/// Panics if `out` does not have the network input shape.
+pub fn image_to_tensor_into(image: &Image, out: &mut Tensor) {
+    assert_eq!(
+        out.shape(),
+        [1, NET_HEIGHT, NET_WIDTH],
+        "input tensor shape"
+    );
+    let (w, h) = (image.width(), image.height());
+    for (y, row) in out.data_mut().chunks_exact_mut(NET_WIDTH).enumerate() {
+        let sy = y * h / NET_HEIGHT;
+        for (x, v) in row.iter_mut().enumerate() {
+            let p = image.pixel(x * w / NET_WIDTH, sy);
+            let luma = 0.299 * p[0] + 0.587 * p[1] + 0.114 * p[2];
+            *v = luma - 0.5;
+        }
+    }
 }
 
 /// Normalizes a speed (m/s) for the head input.
@@ -47,6 +69,25 @@ mod tests {
         let img = Image::filled(NET_WIDTH, NET_HEIGHT, [0.0, 0.0, 0.0]);
         let t = image_to_tensor(&img);
         assert!(t.data().iter().all(|v| (*v + 0.5).abs() < 1e-6));
+    }
+
+    #[test]
+    fn in_place_conversion_matches_resize_then_grayscale() {
+        // The allocating pipeline this conversion replaced, bit for bit,
+        // on a non-uniform image at the camera size and at the net size.
+        for (w, h) in [(64, 48), (NET_WIDTH, NET_HEIGHT), (50, 37)] {
+            let mut img = Image::new(w, h);
+            for (i, v) in img.data_mut().iter_mut().enumerate() {
+                *v = ((i * 7919) % 1009) as f32 / 1009.0;
+            }
+            let small = img.resized(NET_WIDTH, NET_HEIGHT);
+            let expected: Vec<f32> = small.to_grayscale().iter().map(|v| v - 0.5).collect();
+            let mut out = Tensor::zeros(vec![1, NET_HEIGHT, NET_WIDTH]);
+            image_to_tensor_into(&img, &mut out);
+            let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(out.data()), bits(&expected), "{w}x{h}");
+            assert_eq!(image_to_tensor(&img), out);
+        }
     }
 
     #[test]

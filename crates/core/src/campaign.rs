@@ -8,6 +8,7 @@
 use crate::engine::{Engine, ProgressSink, WorkPlan};
 use crate::fault::FaultSpec;
 use crate::harness::AvDriver;
+use avfi_agent::controller::Driver;
 use avfi_agent::IlNetwork;
 use avfi_sim::recorder::Recorder;
 use avfi_sim::rng::split_seed;
@@ -376,6 +377,9 @@ pub(crate) fn run_mission(
             world.install_recorder(std::mem::take(recorder));
         }
     }
+    // Render the camera only for an agent that reads it; the harness
+    // skips the pixel work of camera faults for the same agents.
+    world.set_camera_demand(driver.reads_camera());
     let mut obs = world.observe();
     loop {
         let control = driver.drive_frame(&obs, &world);

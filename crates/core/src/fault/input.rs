@@ -14,7 +14,7 @@ use crate::trigger::Trigger;
 use avfi_sim::rng::normal;
 use avfi_sim::sensors::Image;
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{RngCore, RngExt};
 use serde::{Deserialize, Serialize};
 
 /// Camera image fault models (Fig. 2/3 of the paper).
@@ -104,7 +104,7 @@ impl ImageFault {
 
     /// Applies the fault to an image. `layout` carries the per-run random
     /// geometry (occlusion position, droplet layout); per-frame noise draws
-    /// from `rng`.
+    /// from `rng` — exactly [`ImageFault::rng_words`] words of it.
     pub fn apply(&self, image: &mut Image, layout: &ImageFaultLayout, rng: &mut StdRng) {
         let (w, h) = (image.width(), image.height());
         match *self {
@@ -154,6 +154,34 @@ impl ImageFault {
                     }
                 }
             }
+        }
+    }
+
+    /// How many `next_u64` words [`ImageFault::apply`] draws from its RNG
+    /// on a `width × height` image. Every uniform the vendored `StdRng`
+    /// (xoshiro256**) samples costs exactly one word, so the count never
+    /// depends on pixel values: Gaussian noise is two uniforms (one
+    /// Box–Muller normal) per channel, salt & pepper one uniform per
+    /// pixel, and the occlusion and droplet models draw nothing per
+    /// frame (their geometry is the [`ImageFaultLayout`], sampled once).
+    pub fn rng_words(&self, width: usize, height: usize) -> u64 {
+        let pixels = (width * height) as u64;
+        match self {
+            ImageFault::Gaussian { .. } => 2 * 3 * pixels,
+            ImageFault::SaltPepper { .. } => pixels,
+            ImageFault::SolidOcclusion { .. }
+            | ImageFault::TransparentOcclusion { .. }
+            | ImageFault::WaterDrop { .. } => 0,
+        }
+    }
+
+    /// Leaves `rng` exactly where [`ImageFault::apply`] on a `width ×
+    /// height` image would, without touching any pixels: for a consumer
+    /// that never reads the corrupted image, this is the whole
+    /// observable effect of applying the fault.
+    pub fn skip(&self, width: usize, height: usize, rng: &mut StdRng) {
+        for _ in 0..self.rng_words(width, height) {
+            rng.next_u64();
         }
     }
 }
@@ -482,6 +510,37 @@ mod tests {
         fault.apply(&mut a, &layout, &mut rng);
         fault.apply(&mut b, &layout, &mut rng);
         assert_eq!(a, b, "occlusion must not move between frames");
+    }
+
+    #[test]
+    fn apply_draws_exactly_rng_words() {
+        // The count must not depend on the image size, the pixel values
+        // or the severity; `skip` must land on the same RNG state.
+        let models = ImageFault::paper_suite().into_iter().chain([
+            ImageFault::gaussian(0.0),
+            ImageFault::salt_pepper(0.0),
+            ImageFault::salt_pepper(1.0),
+        ]);
+        for model in models {
+            for (w, h) in [(1, 1), (7, 5), (64, 48)] {
+                let mut pixels = stream_rng(10, (w * h) as u64);
+                let mut img = Image::new(w, h);
+                for v in img.data_mut() {
+                    *v = pixels.random_range(0.0..1.0);
+                }
+                let mut rng = stream_rng(11, 0);
+                let layout = ImageFaultLayout::sample(&model, w, h, &mut rng);
+                let mut counted = rng.clone();
+                let mut skipped = rng.clone();
+                model.apply(&mut img, &layout, &mut rng);
+                for _ in 0..model.rng_words(w, h) {
+                    counted.next_u64();
+                }
+                model.skip(w, h, &mut skipped);
+                assert_eq!(rng, counted, "{model:?} on {w}x{h}");
+                assert_eq!(rng, skipped, "{model:?} on {w}x{h}");
+            }
+        }
     }
 
     #[test]

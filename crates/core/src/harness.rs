@@ -5,6 +5,19 @@
 //! This is the "Fault Injector" box of Figure 1: Input FI sits between the
 //! server's sensor stream and the ADA, NN FI inside the ADA, Output FI and
 //! Timing FI between the ADA and actuation.
+//!
+//! Camera faults do pixel work only for an agent that reads the camera
+//! ([`Driver::reads_camera`]). For one that does not (the expert), an
+//! active camera model still samples its [`ImageFaultLayout`] from the
+//! observation's image size, marks the injection and logs the event, but
+//! instead of copying and corrupting the image it advances the shared
+//! fault RNG by exactly the words the corruption would have drawn
+//! ([`ImageFault::rng_words`](crate::fault::input::ImageFault::rng_words)).
+//! Every later draw — GPS and LIDAR noise, Bernoulli triggers, timing
+//! channels — therefore sees the same stream, and results, traces and
+//! journals stay byte-identical to corrupting pixels nobody reads. The
+//! campaign runner pairs this with [`World::set_camera_demand`], so an
+//! expert mission does not render the camera either.
 
 use crate::fault::input::ImageFaultLayout;
 use crate::fault::timing::TimingChannel;
@@ -68,6 +81,15 @@ impl EventLog {
 enum Inner {
     Expert(ExpertDriver),
     Neural(NeuralDriver),
+}
+
+impl Inner {
+    fn reads_camera(&self) -> bool {
+        match self {
+            Inner::Expert(e) => e.reads_camera(),
+            Inner::Neural(n) => n.reads_camera(),
+        }
+    }
 }
 
 impl std::fmt::Debug for Inner {
@@ -212,6 +234,7 @@ impl AvDriver {
         // below (each trigger gate is evaluated exactly once — re-checking
         // here would consume extra RNG draws and change the run).
         let mut active = [false; FaultChannel::ALL.len()];
+        let reads_camera = inner.reads_camera();
 
         // --- Input FI and sensor-path Hardware FI: corrupt the sensor
         // channels the agent sees. Only the channels a fault touches are
@@ -226,20 +249,26 @@ impl AvDriver {
                 active[FaultChannel::Speed as usize] = f.speed.is_some();
                 active[FaultChannel::Lidar as usize] = f.lidar.is_some();
                 // Scalar-only plans (no camera model) skip the image copy
-                // entirely — the agent sees the world's own buffer.
+                // entirely — the agent sees the world's own buffer. So does
+                // an agent that never reads the camera; it only gets the
+                // RNG draws the corruption would make (see the module docs).
                 if let Some(model) = &f.model {
-                    let img = match scratch_image {
-                        Some(img) => {
-                            img.copy_from(&obs.sensors.image);
-                            img
-                        }
-                        None => scratch_image.insert(obs.sensors.image.clone()),
-                    };
-                    let layout = image_layout.get_or_insert_with(|| {
-                        ImageFaultLayout::sample(model, img.width(), img.height(), rng)
-                    });
-                    model.apply(img, layout, rng);
-                    input.image = img;
+                    let (w, h) = (obs.sensors.image.width(), obs.sensors.image.height());
+                    let layout = image_layout
+                        .get_or_insert_with(|| ImageFaultLayout::sample(model, w, h, rng));
+                    if reads_camera {
+                        let img = match scratch_image {
+                            Some(img) => {
+                                img.copy_from(&obs.sensors.image);
+                                img
+                            }
+                            None => scratch_image.insert(obs.sensors.image.clone()),
+                        };
+                        model.apply(img, layout, rng);
+                        input.image = img;
+                    } else {
+                        model.skip(w, h, rng);
+                    }
                 }
                 if let Some(g) = &f.gps {
                     let p = &mut input.gps.position;
@@ -323,6 +352,10 @@ impl Driver for AvDriver {
 
     fn name(&self) -> &'static str {
         self.agent_name()
+    }
+
+    fn reads_camera(&self) -> bool {
+        self.inner.reads_camera()
     }
 }
 
@@ -458,6 +491,29 @@ mod tests {
         );
         assert!(drv.scratch_lidar.is_none());
         assert_eq!(drv.injection_time(), Some(0.0));
+    }
+
+    #[test]
+    fn expert_under_camera_fault_skips_image_copy() {
+        // The expert never reads the camera, so a Gaussian plan must not
+        // allocate or fill the scratch image — only advance the RNG and
+        // mark the injection, exactly as the pixel path would.
+        let mut w = world();
+        let spec = FaultSpec::Input(InputFault::always(ImageFault::gaussian(0.2)));
+        let mut drv = AvDriver::expert(spec, 7);
+        assert!(!drv.reads_camera());
+        for _ in 0..8 {
+            let obs = w.observe();
+            let c = drv.drive_frame(&obs, &w);
+            w.step(c);
+        }
+        assert!(
+            drv.scratch_image.is_none(),
+            "expert must not copy the camera image"
+        );
+        assert_eq!(drv.injection_time(), Some(0.0));
+        let neural = AvDriver::neural(IlNetwork::new(11), FaultSpec::None, 7);
+        assert!(neural.reads_camera());
     }
 
     #[test]

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use avfi_agent::IlNetwork;
 use avfi_core::campaign::{AgentSpec, CampaignConfig};
 use avfi_core::engine::{Engine, MultiplexPool, PlanTicket, RecoveredSubmission, RunSink};
 use avfi_core::fault::timing::TimingFault;
@@ -322,6 +323,9 @@ fn serve_request(
             };
             match serde_json::from_str::<WorkPlan>(&plan_json) {
                 Ok(plan) => {
+                    if let Err(message) = check_weights(&plan) {
+                        return transport.send_value(&ServiceReply::Error { message });
+                    }
                     let ticket = match spool {
                         Some(spool) => {
                             let dir = spool.dir.clone();
@@ -500,6 +504,32 @@ fn serve_request(
             ack
         }
     }
+}
+
+/// Parses every distinct neural weight blob in `plan` once, so a plan
+/// whose agent could not be built is refused at submit — before it
+/// reaches the pool, where the run would panic its worker, and before a
+/// journal is opened for it.
+fn check_weights(plan: &WorkPlan) -> Result<(), String> {
+    let mut parsed: Vec<&[u8]> = Vec::new();
+    for study in plan.studies() {
+        for (index, campaign) in study.campaigns.iter().enumerate() {
+            let AgentSpec::Neural { weights } = &campaign.agent else {
+                continue;
+            };
+            if parsed.contains(&weights.as_slice()) {
+                continue;
+            }
+            IlNetwork::from_weights(weights).map_err(|e| {
+                format!(
+                    "invalid neural weights in study {:?}, campaign {index}: {e}",
+                    study.name
+                )
+            })?;
+            parsed.push(weights);
+        }
+    }
+    Ok(())
 }
 
 /// The retention sweep: evicts result/trace payloads of every plan that

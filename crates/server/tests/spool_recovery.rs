@@ -179,7 +179,7 @@ fn auto_resume_restarts_interrupted_plans() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-/// Zero retention with a spool: the sweep deletes the plan's journal
+/// A short retention with a spool: the sweep deletes the plan's journal
 /// (and trace directory) from the spool while status stays queryable —
 /// so a later restart no longer resurrects the evicted plan.
 #[test]
@@ -187,14 +187,19 @@ fn retention_sweep_deletes_spooled_files() {
     let spool = fresh_spool("evict");
     let plan = demo_plan();
 
-    let (addr, daemon) = spawn_daemon(&spool, false, Some(Duration::ZERO));
+    // Not zero: a plan that finishes before the server reads the watch
+    // request would be swept by that very request, before the check that
+    // the journal exists while retained.
+    let retention = Duration::from_secs(1);
+    let (addr, daemon) = spawn_daemon(&spool, false, Some(retention));
     let mut c = ServiceClient::connect(&addr).expect("connect");
     let (id, total) = c.submit(&plan, TraceLevel::Blackbox).expect("submit");
     assert_eq!(c.wait_terminal(id).expect("terminal"), PlanPhase::Completed);
     let journal_path = spool.join(avfi_store::journal_file_name(id));
     assert!(journal_path.exists(), "journal must exist while retained");
 
-    // Any served request triggers the sweep; retention 0 = expired now.
+    // Any served request triggers the sweep once the plan has expired.
+    std::thread::sleep(retention);
     let _ = c.results_json(id);
     let (phase, completed, reported_total) = c.status(id).expect("status after sweep");
     assert_eq!(phase, PlanPhase::Completed);

@@ -120,6 +120,9 @@ pub struct World {
     scratch_billboards: Vec<Billboard>,
     /// Reused per-frame LIDAR obstacle list.
     scratch_shapes: Vec<CollisionShape>,
+    /// Whether [`World::observe_into`] renders the camera; see
+    /// [`World::set_camera_demand`].
+    camera_demand: bool,
 }
 
 // RNG stream ids derived from the scenario seed.
@@ -196,6 +199,7 @@ impl World {
             map,
             scratch_billboards: Vec::new(),
             scratch_shapes: Vec::new(),
+            camera_demand: true,
         }
     }
 
@@ -232,6 +236,16 @@ impl World {
     /// Violation monitor (events recorded so far).
     pub fn monitor(&self) -> &ViolationMonitor {
         &self.monitor
+    }
+
+    /// Turns camera rendering in [`World::observe_into`] on or off (on by
+    /// default). Set it off only when nothing downstream reads
+    /// `sensors.image` — the campaign runner does so for agents that
+    /// drive from ground truth. Rendering consumes no RNG and changes no
+    /// world state, so the run is identical either way; only the image
+    /// buffer differs (it keeps whatever it held).
+    pub fn set_camera_demand(&mut self, on: bool) {
+        self.camera_demand = on;
     }
 
     /// Trajectory recorder.
@@ -446,24 +460,29 @@ impl World {
 
     /// Refreshes `obs` in place with the current frame's observation,
     /// reusing the image and LIDAR buffers. Every field of `obs` is
-    /// overwritten; after the buffers have warmed up to the sensor
-    /// dimensions this performs no heap allocation.
+    /// overwritten — except the camera image while the camera demand is
+    /// off ([`World::set_camera_demand`]): then the billboard gathering
+    /// and the render are skipped and `obs.sensors.image` is left as it
+    /// was. After the buffers have warmed up to the sensor dimensions
+    /// this performs no heap allocation.
     pub fn observe_into(&mut self, obs: &mut WorldObservation) {
-        // The scratch vectors are moved out while borrowed helpers run so
-        // the scene can borrow `self.map` immutably; their capacity is
-        // preserved across frames (`mem::take` leaves an empty Vec behind
-        // without allocating).
-        let mut billboards = std::mem::take(&mut self.scratch_billboards);
-        billboards.clear();
-        self.fill_billboards(&mut billboards);
-        let scene = RenderScene {
-            map: &self.map,
-            weather: self.weather(),
-            billboards: &billboards,
-        };
-        self.camera
-            .render_into(&scene, self.ego.pose, &mut obs.sensors.image);
-        self.scratch_billboards = billboards;
+        if self.camera_demand {
+            // The scratch vector is moved out while the render runs so
+            // the scene can borrow `self.map` immutably; its capacity is
+            // preserved across frames (`mem::take` leaves an empty Vec
+            // behind without allocating).
+            let mut billboards = std::mem::take(&mut self.scratch_billboards);
+            billboards.clear();
+            self.fill_billboards(&mut billboards);
+            let scene = RenderScene {
+                map: &self.map,
+                weather: self.weather(),
+                billboards: &billboards,
+            };
+            self.camera
+                .render_into(&scene, self.ego.pose, &mut obs.sensors.image);
+            self.scratch_billboards = billboards;
+        }
 
         let mut shapes = std::mem::take(&mut self.scratch_shapes);
         shapes.clear();

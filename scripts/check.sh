@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, lints, formatting.
+# Full local gate: build, tests, lints, formatting, smoke, and the
+# benchmark's seed-2018 pins.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,5 +22,16 @@ cargo fmt --all --check
 
 echo "==> smoke tier (scripts/smoke.sh)"
 scripts/smoke.sh
+
+echo "==> perfbench pin tier (seed 2018: each workload's results must match its pinned digests)"
+for workload in expert_adaptive ilcnn_input_faults daemon_mixed_plans; do
+  summary=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 2018 --seconds 2 --trace 0 | tail -n 1)
+  if [[ "$summary" != *'"correct":true'* || "$summary" != *'"failed":0,'* ]]; then
+    echo "FAIL: perfbench $workload at seed 2018: $summary" >&2
+    exit 1
+  fi
+  echo "    $workload: correct, 0 failed"
+done
 
 echo "OK: all checks passed"
